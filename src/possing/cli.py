@@ -11,7 +11,9 @@ insignificant.  Weight lists are semicolon-separated vectors of comma
 separated positive rationals, e.g. --weights "4,6;5,5".
 
 Exit codes: 0 success, 1 usage error, 2 mathematical refusal (for example
-a normal form request whose finiteness condition fails).
+a normal form request whose finiteness condition fails), 3 internal
+failure (a reduction that exceeds its step budget or a failed internal
+consistency check).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from possing.grading import (
     regular_basis,
     vanishes_in_gr,
 )
-from possing.localalg import milnor, tjurina
+from possing.localalg import ReductionBudgetExceeded, milnor, tjurina
 from possing.newton import (
     CPolytope,
     PolytopeError,
@@ -59,6 +61,7 @@ from possing.poly import (
 
 USAGE_ERROR = 1
 MATH_REFUSAL = 2
+INTERNAL_ERROR = 3
 
 
 class UsageError(ValueError):
@@ -453,6 +456,9 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     except (ValueError, ArithmeticError) as exc:
         print("error: invalid: %s" % exc, file=err)
         return USAGE_ERROR
+    except (ReductionBudgetExceeded, AssertionError) as exc:
+        print("error: internal: %s" % exc, file=err)
+        return INTERNAL_ERROR
     report = {
         "command": args.command,
         "inputs": {

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from possing.localalg import (
@@ -36,9 +34,10 @@ from possing.localalg import (
 )
 from possing.newton import (
     CPolytope,
+    _lattice_sweep,
+    _primitive,
     derivation_monomials,
     initial_form,
-    lattice_points_shifted,
     monomials_of_valuation,
     valuation_poly,
 )
@@ -216,10 +215,8 @@ class GradedAlgebra:
             }
             if not vec:
                 continue
-            if ech.add_row(vec, label=label):
-                labels.append(label)
-            else:
-                labels.append(label)  # dependent generators still span the image
+            ech.add_row(vec, label=label)
+            labels.append(label)  # dependent generators still span the image
         survivors = [m for i, m in enumerate(cols) if i not in ech.pivots]
         survivors.sort(key=degrevlex_key)
         return GradedPieceReport(
@@ -290,33 +287,6 @@ def _plain_gens(f: Poly, mode: Grading) -> list:
     raise ValueError("plain mode expected")
 
 
-def _monomials_up_to(P: CPolytope, bound: int) -> list:
-    """All exponents with piecewise valuation <= bound."""
-    out = []
-    weights = P.weights
-    n = P.nvars
-
-    def rec(i, partial):
-        if min(partial) > bound:
-            return
-        if i == n:
-            out.append(tuple(current))
-            return
-        e = 0
-        while True:
-            new_partial = [p + e * w[i] for p, w in zip(partial, weights)]
-            if min(new_partial) > bound:
-                break
-            current.append(e)
-            rec(i + 1, new_partial)
-            current.pop()
-            e += 1
-
-    current: list = []
-    rec(0, [0] * len(weights))
-    return out
-
-
 def plain_graded_dims(P: CPolytope, f: Poly, mode: Grading, dmax: int) -> list:
     """Piece dimensions of the plain graded algebra for degrees 0..dmax.
 
@@ -333,7 +303,7 @@ def plain_graded_dims(P: CPolytope, f: Poly, mode: Grading, dmax: int) -> list:
         if g.is_zero():
             continue
         vg = valuation_poly(P, g)
-        for gamma in _monomials_up_to(P, dmax - vg):
+        for gamma in _lattice_sweep(P, 0, dmax - vg):
             product = g.term_mul(gamma, 1)
             vec = {index[m]: c for m, c in product.terms.items() if P.value(m) <= dmax}
             if vec:
@@ -350,7 +320,7 @@ def plain_graded_dims(P: CPolytope, f: Poly, mode: Grading, dmax: int) -> list:
 def _level_ordered_columns(P: CPolytope, dmax: int) -> list:
     """Monomials of valuation <= dmax, by level, local-leading first per level."""
     by_level = {}
-    for m in _monomials_up_to(P, dmax):
+    for m in _lattice_sweep(P, 0, dmax):
         by_level.setdefault(P.value(m), []).append(m)
     cols = []
     for lvl in sorted(by_level):
@@ -370,7 +340,7 @@ def _plain_piece(P: CPolytope, f: Poly, d: int, mode: Grading) -> GradedPieceRep
         if g.is_zero():
             continue
         vg = valuation_poly(P, g)
-        for gamma in _monomials_up_to(P, d - vg):
+        for gamma in _lattice_sweep(P, 0, d - vg):
             product = g.term_mul(gamma, 1)
             vec = {index[m]: c for m, c in product.terms.items() if P.value(m) <= d}
             if vec:
@@ -415,19 +385,6 @@ def vanishes_in_gr(P: CPolytope, f: Poly, m: Mono, mode: Grading) -> bool:
     d = P.value(m)
     piece = _plain_piece(P, f, d, mode)
     return tuple(m) not in piece.quotient_basis
-
-
-def _primitive_direction(vertex) -> Mono:
-    from math import lcm
-
-    denom = 1
-    for c in vertex:
-        denom = lcm(denom, Fraction(c).denominator)
-    ints = [int(Fraction(c) * denom) for c in vertex]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -481,7 +438,7 @@ def ray_criterion(
         if face.dimension != 0:
             continue
         vertex = face.vertices[0]
-        u = _primitive_direction(vertex)
+        u = _primitive(vertex)
         hit = None
         mult = None
         for k in range(1, bound + 1):
@@ -563,7 +520,7 @@ def regular_basis(
                 total += P.value(ray.first_vanishing)
         dmax = max(dmax, total)
     candidates = [
-        m for m in _monomials_up_to(P, dmax - 1) if not alg.cone_killed(m)
+        m for m in _lattice_sweep(P, 0, dmax - 1) if not alg.cone_killed(m)
     ]
     degrees = sorted({P.value(m) for m in candidates})
     basis = []

@@ -149,14 +149,13 @@ def _normal_form(
     return h.poly, None, None
 
 
-@dataclass
+@dataclass(frozen=True)
 class StandardBasis:
     """Completed (standard or Groebner) basis with its leading data."""
 
     generators: tuple  # monic Poly, minimalized
     ordering: OrderingSpec
     leading_monomials: tuple  # one Mono per generator
-    _vdim_cache: object = None
 
     @property
     def ring(self) -> Ring:
@@ -210,7 +209,7 @@ class StandardBasis:
             return self.reduce_truncated(g, cutoff).is_zero()
 
 
-def _buchberger(gens: list, key, allow_stash: bool) -> list:
+def _buchberger(gens: list, key) -> list:
     """Completion loop; normal selection with the product criterion."""
     basis = [_monic(g, key) for g in gens if not g.is_zero()]
     lms = [leading_monomial(g, key) for g in basis]
@@ -226,7 +225,7 @@ def _buchberger(gens: list, key, allow_stash: bool) -> list:
         )
         if s.is_zero():
             continue
-        h, _, _ = _normal_form(s, basis, key, allow_stash)
+        h, _, _ = _normal_form(s, basis, key, allow_stash=False)
         if h.is_zero():
             continue
         h = _monic(h, key)
@@ -297,7 +296,7 @@ def std_basis(gens: Iterable, ordering: OrderingSpec = LOCAL) -> StandardBasis:
         raise RingError("mixed ring contexts")
     key = ordering.key()
     if not ordering.is_local:
-        basis = _buchberger(gens, key, allow_stash=False)
+        basis = _buchberger(gens, key)
         kept = _minimalize(basis, key)
         return StandardBasis(
             generators=tuple(g for _, g in kept),
@@ -306,7 +305,7 @@ def std_basis(gens: Iterable, ordering: OrderingSpec = LOCAL) -> StandardBasis:
         )
     ring_t = _with_tag_variable(ring)
     lifted = [_homogenize(ring_t, g) for g in gens]
-    homog_basis = _buchberger(lifted, _homog_key, allow_stash=False)
+    homog_basis = _buchberger(lifted, _homog_key)
     basis = [_dehomogenize(ring, h) for h in homog_basis]
     basis = [g for g in basis if not g.is_zero()]
     kept = _minimalize([_monic(g, key) for g in basis], key)
@@ -331,26 +330,20 @@ def vdim(sb: StandardBasis) -> QuotientReport:
     Infinite exactly when some variable has no pure power among the leading
     monomials (detected exactly, no timeout heuristics).
     """
-    if sb._vdim_cache is not None:
-        return sb._vdim_cache
     n = sb.ring.nvars
     lms = sb.leading_monomials
     bounds = []
     for i in range(n):
         pure = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
         if not pure:
-            report = QuotientReport(INFINITY, None)
-            sb._vdim_cache = report
-            return report
+            return QuotientReport(INFINITY, None)
         bounds.append(min(pure))
     std = []
     for expo in product(*(range(b) for b in bounds)):
         if not any(mono_divides(lm, expo) for lm in lms):
             std.append(expo)
     std.sort(key=degrevlex_key)
-    report = QuotientReport(len(std), tuple(std))
-    sb._vdim_cache = report
-    return report
+    return QuotientReport(len(std), tuple(std))
 
 
 def _require_in_max_ideal(f: Poly, who: str):
@@ -480,32 +473,6 @@ def _drop_tag(ring: Ring, f: Poly) -> Poly:
     return Poly(ring, {m[:-1]: c for m, c in f.terms.items()})
 
 
-def _gb_elim(gens_t: list) -> list:
-    """Groebner basis under the tag-elimination order; plain Buchberger."""
-    key = _elim_key
-    basis = [_monic(g, key) for g in gens_t if not g.is_zero()]
-    lms = [leading_monomial(g, key) for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        pairs.sort(key=lambda ij: sum(mono_lcm(lms[ij[0]], lms[ij[1]])), reverse=True)
-        i, j = pairs.pop()
-        lcm = mono_lcm(lms[i], lms[j])
-        if lcm == mono_mul(lms[i], lms[j]):
-            continue
-        s = basis[i].term_mul(mono_div(lcm, lms[i]), 1) - basis[j].term_mul(
-            mono_div(lcm, lms[j]), 1
-        )
-        h, _, _ = _normal_form(s, basis, key, allow_stash=False)
-        if h.is_zero():
-            continue
-        h = _monic(h, key)
-        basis.append(h)
-        lms.append(leading_monomial(h, key))
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
-    return basis
-
-
 def _exact_divide(h: Poly, g: Poly) -> Poly:
     """Quotient h/g for h in the principal ideal <g> (global division)."""
     ring = h.ring
@@ -533,7 +500,7 @@ def ideal_intersection_principal(gens: list, g: Poly) -> list:
     # (1 - t) * g
     tg = _lift(ring_t, g, 1)
     lifted.append(_lift(ring_t, g, 0) - tg)
-    basis = _gb_elim(lifted)
+    basis = _buchberger(lifted, _elim_key)
     out = []
     for b in basis:
         if all(m[-1] == 0 for m in b.terms):
@@ -574,10 +541,6 @@ def contains_one(gens: list) -> bool:
     gens = [p for p in gens if not p.is_zero()]
     if not gens:
         return False
-    if any(not p.order() for p in gens):
-        # a unit generator (global setting: nonzero constant implies 1 after GB
-        # only if the constant survives; check directly below instead)
-        pass
     gb = std_basis(gens, GLOBAL)
     return any(sum(lm) == 0 for lm in gb.leading_monomials)
 

@@ -36,44 +36,68 @@ def _dot(w: Sequence, r: Sequence):
     return sum(a * b for a, b in zip(w, r))
 
 
-def _solve_exact(rows: list, rhs: list) -> Optional[list]:
-    """Solve a square rational system; None when singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _rref(rows: list, ncols: int) -> tuple:
+    """Reduced row echelon form over Q, pivoting in the first ncols columns.
+
+    Returns (rows, pivot_cols): row r < len(pivot_cols) is monic at
+    pivot_cols[r] and zero in every other pivot column; the rows past the
+    rank are zero in the first ncols columns.  Entries past ncols (a
+    right-hand side) are carried along.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col]
+        mat[rank] = [x / inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def _nullspace(rows: list, n: int) -> list:
+    """Rational basis of {w : rows . w = 0}, one vector per free column."""
+    mat, pivots = _rref(rows, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -mat[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _solve_unique(rows: list, rhs: list) -> Optional[list]:
+    """The solution of rows . x = rhs over Q when it exists and is unique, else None."""
+    n = len(rows[0])
+    mat, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n or any(row[n] for row in mat[n:]):
+        return None
+    return [mat[r][n] for r in range(n)]
 
 
 def _affine_rank(points: list) -> int:
     if not points:
         return -1
     base = points[0]
-    vecs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    rank = 0
-    cols = len(base)
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(vecs)) if vecs[r][col] != 0), None)
-        if piv is None:
-            continue
-        vecs[rank], vecs[piv] = vecs[piv], vecs[rank]
-        inv = vecs[rank][col]
-        vecs[rank] = [x / inv for x in vecs[rank]]
-        for r in range(len(vecs)):
-            if r != rank and vecs[r][col]:
-                factor = vecs[r][col]
-                vecs[r] = [x - factor * y for x, y in zip(vecs[r], vecs[rank])]
-        rank += 1
-    return rank
+    return len(_rref([[a - b for a, b in zip(p, base)] for p in points[1:]], len(base))[1])
+
+
+def _primitive(v: Sequence) -> tuple:
+    """The integer vector with coprime entries on the ray of a rational vector."""
+    fracs = [Fraction(c) for c in v]
+    denom = lcm(*(c.denominator for c in fracs))
+    ints = [int(c * denom) for c in fracs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -113,9 +137,6 @@ class CPolytope:
         """The scaled piecewise valuation of a lattice exponent (an integer)."""
         return min(_dot(w, alpha) for w in self.weights)
 
-    def facet_value(self, j: int, alpha: Sequence) -> int:
-        return _dot(self.weights[j], alpha)
-
     def attaining(self, alpha: Sequence) -> tuple:
         v = self.value(alpha)
         return tuple(j for j, w in enumerate(self.weights) if _dot(w, alpha) == v)
@@ -124,14 +145,6 @@ class CPolytope:
         """min_i v(x_i): the least valuation of a single variable."""
         n = self.nvars
         return min(self.value(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
-
-    def describe(self) -> dict:
-        return {
-            "weights": [list(w) for w in self.weights],
-            "nscale": self.nscale,
-            "vertices": [[str(c) for c in v] for v in self.vertices],
-            "virtual_points": [list(p) for p in self.virtual_points],
-        }
 
 
 def _region_vertices(lambdas: list, n: int) -> list:
@@ -148,7 +161,7 @@ def _region_vertices(lambdas: list, n: int) -> list:
             else:
                 rows.append([1 if i == idx else 0 for i in range(n)])
                 rhs.append(0)
-        sol = _solve_exact(rows, rhs)
+        sol = _solve_unique(rows, rhs)
         if sol is None:
             continue
         if any(c < 0 for c in sol):
@@ -283,13 +296,6 @@ def _minimal_points(support: list) -> list:
     return out
 
 
-def _primitive(v: Sequence) -> tuple:
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    return tuple(int(x) // g for x in v)
-
-
 def _compact_facets(points: list, n: int) -> list:
     """Compact facets of hull(points + positive orthant): (normal, value, tights)."""
     facets = {}
@@ -297,18 +303,16 @@ def _compact_facets(points: list, n: int) -> list:
         base = combo[0]
         rows = [[combo[k][i] - base[i] for i in range(n)] for k in range(1, n)]
         # normal = nullspace of the (n-1) x n difference matrix when rank n-1
-        normal = _nullspace_vector(rows, n)
-        if normal is None:
+        basis = _nullspace(rows, n)
+        if len(basis) != 1:
             continue
-        if all(c == 0 for c in normal):
+        w = _primitive(basis[0])
+        if any(c < 0 for c in w) and any(c > 0 for c in w):
             continue
-        if any(c < 0 for c in normal) and any(c > 0 for c in normal):
-            continue
-        if sum(normal) < 0:
-            normal = tuple(-c for c in normal)
-        if any(c <= 0 for c in normal):
+        if sum(w) < 0:
+            w = tuple(-c for c in w)
+        if any(c <= 0 for c in w):
             continue  # compact facets of a Newton polyhedron have positive normals
-        w = _primitive(normal)
         c = _dot(w, base)
         if c <= 0:
             continue
@@ -319,35 +323,6 @@ def _compact_facets(points: list, n: int) -> list:
             continue
         facets[(w, c)] = tight
     return [(w, c, tight) for (w, c), tight in sorted(facets.items())]
-
-
-def _nullspace_vector(rows: list, n: int) -> Optional[tuple]:
-    """A nonzero rational vector orthogonal to all rows; None if rank < n-1."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    pivot_cols = []
-    for col in range(n):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [x / inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    if rank != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivot_cols)
-    sol = [Fraction(0)] * n
-    sol[free] = Fraction(1)
-    for r, col in enumerate(pivot_cols):
-        sol[col] = -mat[r][free]
-    denom = lcm(*[f.denominator for f in sol])
-    return tuple(int(f * denom) for f in sol)
 
 
 def _extreme_points(points: list, n: int) -> list:
@@ -362,46 +337,14 @@ def _extreme_points(points: list, n: int) -> list:
 
 
 def _in_convex_hull(p, others, n) -> bool:
-    from itertools import combinations as _comb
-
     for size in range(1, n + 2):
-        for combo in _comb(others, size):
+        for combo in combinations(others, size):
             # solve sum t_k q_k = p, sum t_k = 1
             rows = [[q[i] for q in combo] for i in range(n)] + [[1] * size]
-            rhs = list(p) + [1]
-            sol = _solve_lstsq_exact(rows, rhs, size)
+            sol = _solve_unique(rows, list(p) + [1])
             if sol is not None and all(t >= 0 for t in sol):
                 return True
     return False
-
-
-def _solve_lstsq_exact(rows, rhs, width) -> Optional[list]:
-    """Exact solution of a possibly overdetermined consistent system."""
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    rank = 0
-    pivots = []
-    for col in range(width):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [x / inv for x in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][width] != 0:
-            return None
-    if rank < width:
-        return None  # only need the unique-solution case here
-    sol = [Fraction(0)] * width
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][width]
-    return sol
 
 
 def newton_diagram(f: Poly) -> NewtonData:
@@ -567,44 +510,44 @@ def inner_faces(P: CPolytope) -> list:
     return [face for face in P.faces if face.inner]
 
 
-def in_common_facet_cone(P: CPolytope, alpha: Mono, beta: Mono) -> bool:
-    """Do alpha and beta lie in the cone of a single common facet?"""
-    return bool(set(P.attaining(alpha)) & set(P.attaining(beta)))
-
-
 # -- lattice enumeration ---------------------------------------------------------
 
 
-def lattice_points_shifted(P: CPolytope, shifts: Sequence, target: int) -> list:
-    """All beta >= 0 with min_j(W_j . beta - shifts[j]) == target.
+def _lattice_sweep(P: CPolytope, lo: int, hi: int, shifts: Optional[Sequence] = None) -> list:
+    """All beta >= 0 with lo <= min_j(W_j . beta - shifts[j]) <= hi.
 
-    The weight entries are strictly positive, so the shifted minimum grows
-    monotonically in every coordinate and the recursion can prune as soon
-    as it overshoots.
+    Shifts default to zero.  The weight entries are strictly positive, so
+    the shifted minimum grows monotonically in every coordinate and the
+    recursion prunes as soon as it overshoots hi.  Points come in
+    lexicographic order of the exponents.
     """
     weights = P.weights
     n = P.nvars
     out = []
+    current: list = []
 
     def rec(i, partial):
-        if min(p - s for p, s in zip(partial, shifts)) > target:
-            return
+        # partial[j] = W_j . current - shifts[j], and min(partial) <= hi
         if i == n:
-            if min(p - s for p, s in zip(partial, shifts)) == target:
+            if min(partial) >= lo:
                 out.append(tuple(current))
             return
-        e = 0
-        while True:
-            new_partial = [p + e * w[i] for p, w in zip(partial, weights)]
-            if min(np - s for np, s in zip(new_partial, shifts)) > target:
-                break
-            current.append(e)
-            rec(i + 1, new_partial)
-            current.pop()
-            e += 1
+        column = [w[i] for w in weights]
+        current.append(0)
+        while min(partial) <= hi:
+            rec(i + 1, partial)
+            partial = [p + c for p, c in zip(partial, column)]
+            current[-1] += 1
+        current.pop()
 
-    current: list = []
-    rec(0, [0] * len(weights))
+    start = [-s for s in shifts] if shifts is not None else [0] * len(weights)
+    rec(0, start)
+    return out
+
+
+def lattice_points_shifted(P: CPolytope, shifts: Sequence, target: int) -> list:
+    """All beta >= 0 with min_j(W_j . beta - shifts[j]) == target, in degrevlex order."""
+    out = _lattice_sweep(P, target, target, shifts)
     out.sort(key=degrevlex_key)
     return out
 

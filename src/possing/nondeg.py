@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Optional
 
 from possing.localalg import (
@@ -27,7 +26,13 @@ from possing.localalg import (
     std_basis,
     tjurina,
 )
-from possing.newton import CPolytope, Face, face_initial_form, inner_faces
+from possing.newton import (
+    CPolytope,
+    _nullspace,
+    _primitive,
+    face_initial_form,
+    inner_faces,
+)
 from possing.poly import INFINITY, Poly, Ring
 
 
@@ -37,48 +42,6 @@ class QHType:
 
     weights: tuple
     degree: int
-
-
-def _nullspace_basis(rows: list, n: int) -> list:
-    """Rational basis of {w : rows . w = 0}."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [x / inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -mat[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _primitive_int(vec) -> tuple:
-    from math import lcm
-
-    denom = 1
-    for c in vec:
-        denom = lcm(denom, Fraction(c).denominator)
-    ints = [int(Fraction(c) * denom) for c in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 _SEARCH_CAP = 120  # L1 cap for the minimal-weight search; past it the ray sum wins
@@ -103,10 +66,10 @@ def detect_qh(f: Poly) -> Optional[QHType]:
             sys_rows = list(rows) + [
                 [1 if i == z else 0 for i in range(n)] for z in zeros
             ]
-            basis = _nullspace_basis(sys_rows, n)
+            basis = _nullspace(sys_rows, n)
             if len(basis) != 1:
                 continue
-            ray = _primitive_int(basis[0])
+            ray = _primitive(basis[0])
             if all(c <= 0 for c in ray):
                 ray = tuple(-c for c in ray)
             if any(c < 0 for c in ray) or all(c == 0 for c in ray):
@@ -118,7 +81,7 @@ def detect_qh(f: Poly) -> Optional[QHType]:
     summed = tuple(sum(col) for col in zip(*rays))
     if any(c <= 0 for c in summed):
         return None
-    w0 = _primitive_int(summed)
+    w0 = _primitive(summed)
     bound = min(sum(w0), _SEARCH_CAP)
     best = None
     if sum(w0) <= _SEARCH_CAP:
@@ -142,11 +105,7 @@ def detect_qh(f: Poly) -> Optional[QHType]:
             rec(0, total, [])
             if best is not None:
                 break
-    w = best if best is not None else w0
-    g = 0
-    for x in w:
-        g = gcd(g, x)
-    w = tuple(x // g for x in w)
+    w = _primitive(best if best is not None else w0)
     degree = sum(a * b for a, b in zip(w, base))
     return QHType(weights=w, degree=degree)
 

@@ -292,25 +292,6 @@ class Poly:
         return self.truncate(k)
 
 
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
-def partial_derivative(f: Poly, i: int) -> Poly:
-    if not 0 <= i < f.ring.nvars:
-        raise RingError("axis index out of range")
-    return f.partial(i)
-
-
-def order(f: Poly):
-    return f.order()
-
-
-def jacobian_generators(f: Poly) -> list:
-    """All partial derivatives of f (zero partials included)."""
-    return [f.partial(i) for i in range(f.ring.nvars)]
-
-
 @dataclass(frozen=True)
 class Derivation:
     """A derivation sum_i b_i * d/dx_i given by its coefficient tuple."""

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from possing.cli import run
+from possing.localalg import ReductionBudgetExceeded
 
 
 def invoke(argv):
@@ -177,3 +178,18 @@ class TestDeterminism:
                                "x^5+x^2*y^2+y^4"])
         assert code == 0
         assert "tjurina" in out and "16" in out
+
+
+class TestInternalFailures:
+    @pytest.mark.parametrize(
+        "exc", [ReductionBudgetExceeded("normal form exceeded 5 steps"),
+                AssertionError("residual escaped the quotient basis")])
+    def test_internal_failure_exit_code(self, monkeypatch, exc):
+        def fail(f):
+            raise exc
+
+        monkeypatch.setattr("possing.cli.milnor", fail)
+        code, out, err = invoke(["mu", "--vars", "x,y", "x^2+y^3"])
+        assert code == 3
+        assert err.startswith("error: internal: ") and str(exc) in err
+        assert "Traceback" not in err and out == ""

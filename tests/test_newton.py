@@ -1,23 +1,30 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from possing.localalg import _row_reduce_dim
 from possing.newton import (
     CPolytope,
+    _lattice_sweep,
+    _nullspace,
+    _rref,
+    _solve_unique,
     PolytopeError,
     cpolytope_from_poly,
     cpolytope_from_weights,
     face_initial_form,
     initial_form,
     inner_faces,
+    lattice_points_shifted,
     monomials_of_valuation,
     newton_diagram,
     valuation,
     valuation_derivation,
     valuation_poly,
 )
-from possing.poly import Derivation, Ring, poly_from_string
+from possing.poly import Derivation, Ring, degrevlex_key, poly_from_string
 
 RQ = Ring(0, ("x", "y"))
 R2 = Ring(2, ("x", "y"))
@@ -220,16 +227,74 @@ def test_degree_k_valuation_minimum_at_a_vertex(ws, k):
     assert min(candidates) == k * min(Pw.value((1, 0)), Pw.value((0, 1)))
 
 
+weightvecs3 = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    min_size=1, max_size=3,
+)
+
+
+def box_filter(Pw, shifts, lo, hi):
+    """Exponents with lo <= min_j(W_j . beta - shifts[j]) <= hi, lexicographic.
+
+    Weight entries are at least 1, so every such beta lies in the box of
+    side hi + max(shifts).
+    """
+    side = hi + max(shifts) + 1
+    return [
+        beta
+        for beta in product(range(max(side, 0)), repeat=Pw.nvars)
+        if lo <= min(sum(w * b for w, b in zip(ws, beta)) - s
+                     for ws, s in zip(Pw.weights, shifts)) <= hi
+    ]
+
+
 @settings(max_examples=60, deadline=None)
-@given(weightvecs, st.integers(0, 14))
-def test_monomials_of_valuation_complete(ws, d):
+@given(st.one_of(weightvecs, weightvecs3), st.integers(0, 12), st.data())
+def test_monomials_of_valuation_complete(ws, d, data):
+    """Level and sublevel sets of the shifted valuation, against a box filter."""
     Pw = cpolytope_from_weights(ws)
-    listed = set(monomials_of_valuation(Pw, d))
-    for a in range(d + 1):
-        for b in range(d + 1):
-            if Pw.value((a, b)) == d:
-                assert (a, b) in listed
-    assert all(Pw.value(m) == d for m in listed)
+    k = len(Pw.weights)
+    zero = [0] * k
+    shifts = data.draw(st.lists(st.integers(-3, 4), min_size=k, max_size=k))
+    lo = data.draw(st.integers(-4, d))
+    assert monomials_of_valuation(Pw, d) == sorted(box_filter(Pw, zero, d, d), key=degrevlex_key)
+    assert lattice_points_shifted(Pw, shifts, d) == sorted(
+        box_filter(Pw, shifts, d, d), key=degrevlex_key
+    )
+    assert _lattice_sweep(Pw, 0, d) == box_filter(Pw, zero, 0, d)
+    assert _lattice_sweep(Pw, lo, d, shifts) == box_filter(Pw, shifts, lo, d)
+
+
+def exact_rank(rows) -> int:
+    return _row_reduce_dim(
+        [{c: Fraction(v) for c, v in enumerate(row) if v} for row in rows], 0
+    )
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=1, max_size=4)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.data())
+def test_dense_kernel(rows, data):
+    """Nullspace, rank and unique solutions of the exact row reduction."""
+    n = len(rows[0])
+    rhs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    _, pivots = _rref(rows, n)
+    kernel = _nullspace(rows, n)
+    assert len(pivots) == exact_rank(rows)
+    assert len(pivots) + len(kernel) == n
+    for vec in kernel:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    unique = exact_rank(rows) == n and exact_rank(augmented) == n
+    sol = _solve_unique(rows, rhs)
+    assert (sol is not None) == unique
+    if sol is not None:
+        assert all(sum(a * x for a, x in zip(row, sol)) == b for row, b in zip(rows, rhs))
 
 
 @settings(max_examples=100, deadline=None)
