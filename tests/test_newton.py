@@ -239,10 +239,9 @@ def box_filter(Pw, shifts, lo, hi):
     Weight entries are at least 1, so every such beta lies in the box of
     side hi + max(shifts).
     """
-    side = hi + max(shifts) + 1
     return [
         beta
-        for beta in product(range(max(side, 0)), repeat=Pw.nvars)
+        for beta in product(range(hi + max(shifts) + 1), repeat=Pw.nvars)
         if lo <= min(sum(w * b for w, b in zip(ws, beta)) - s
                      for ws, s in zip(Pw.weights, shifts)) <= hi
     ]
