@@ -173,6 +173,26 @@ class TestDeterminism:
         blob = json.dumps(rep1, sort_keys=True, indent=2)
         assert blob == json.dumps(json.loads(blob), sort_keys=True, indent=2)
 
+    def test_conditions_text_key_order(self):
+        # witness rays follow the right-mode dimensions; both modes have one
+        code, out, _ = invoke(["conditions", "--char", "2", "--vars", "x,y",
+                               "--scan-bound", "8", "x^5+x^2*y^2+y^4"])
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "right_graded_finite",
+            "milnor",
+            "dim_gr_right",
+            "witness_rays.right_graded_finite",
+            "witness_rays.right_graded_exact",
+            "witness_rays.contact_graded_finite",
+            "witness_rays.contact_graded_exact",
+            "right_graded_exact",
+            "contact_graded_finite",
+            "tjurina",
+            "dim_gr_contact",
+            "contact_graded_exact",
+        ]
+
     def test_text_output_renders(self):
         code, out, _ = invoke(["tau", "--char", "2", "--vars", "x,y",
                                "x^5+x^2*y^2+y^4"])

@@ -7,6 +7,7 @@ cases cover a three-variable convex-hull search (`newton`), a diagram
 extended by a virtual point (`cpoly`) and two non-quasihomogeneous
 `classify` inputs: one whose weight systems have no one-dimensional
 solution space, and one with a ray of weights that vanishes on an axis.
+A last `conditions` case over F_2 has a witness ray in both modes.
 
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py`, only
 when an output change is intended.
@@ -42,6 +43,7 @@ CASES = [
     ["cpoly", "--vars", "x,y,z", "x^3+x*y^3+z^2"],
     ["classify", "--vars", "x,y,z", "x^3+x*y^3+z^2+y^5"],
     ["classify", "--vars", "x,y", "--weights", "1,1", "--scan-bound", "4", "x^2+x^2*y"],
+    ["conditions", "--char", "2", "--vars", "x,y", "--scan-bound", "8", "x^5+x^2*y^2+y^4"],
 ]
 
 

@@ -61,6 +61,16 @@ class TestGradedPiece:
         alg = GradedAlgebra(Pw, f, Grading.MILNOR_EXPECTED)
         assert dims_plain == [alg.piece(d).dimension for d in range(15)]
 
+    def test_plain_piece_matches_plain_dims(self):
+        # graded_piece and plain_graded_dims read the same plain algebra
+        for ring, f, Pw in (t45(), q10()):
+            for mode in (Grading.MILNOR, Grading.TJURINA):
+                dims = plain_graded_dims(Pw, f, mode, 30)
+                for d in range(31):
+                    piece = graded_piece(Pw, f, d, mode)
+                    assert piece.dimension == dims[d], (mode, d)
+                    assert piece.rank + piece.dimension == len(piece.ambient)
+
     def test_negative_degree_rejected(self):
         ring, f, Pw = q10()
         with pytest.raises(ValueError):
