@@ -15,7 +15,7 @@ from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-from possing.grading import Grading, check_condition, regular_basis
+from possing.grading import check_condition
 from possing.localalg import milnor, tjurina
 from possing.newton import cpolytope_from_poly, cpolytope_from_weights
 from possing.normalform import (
@@ -24,22 +24,22 @@ from possing.normalform import (
     determinacy_generic,
     normal_form,
 )
-from possing.poly import Ring, poly_from_string, poly_to_string
+from possing.poly import INFINITY, Ring, poly_from_string, poly_to_string
 
 
 def fmt(v):
-    return "inf" if v == float("inf") else str(v)
+    return "inf" if v == INFINITY else str(v)
 
 
 def row(family, char, f, P, pert_text):
-    mu, tau = milnor(f), tjurina(f)
-    finite = check_condition(P, f, "contact", strict=False, scan_bound=40)
-    exact = check_condition(P, f, "contact", strict=True, scan_bound=40)
-    if finite.holds:
-        rb = regular_basis(P, f, Grading.TJURINA_EXPECTED)
-        det = determinacy_filtered(P, f, rb, "contact")
+    # one report gives both verdicts: exactness is finiteness plus a count
+    rep = check_condition(P, f, "contact", strict=True, scan_bound=40)
+    mu, tau = milnor(f), rep.local_dimension
+    finite = rep.graded_dimension != INFINITY
+    generic = fmt(determinacy_generic(f, "contact") if tau != INFINITY else INFINITY)
+    if finite:
+        det = determinacy_filtered(P, f, rep.basis, "contact")
         bound = str(det.filtered_bound)
-        generic = fmt(det.generic_bound)
         pert = f + poly_from_string(f.ring, pert_text) if pert_text else f
         try:
             nf = normal_form(P, pert, "contact")
@@ -47,14 +47,13 @@ def row(family, char, f, P, pert_text):
         except NormalFormRefusal:
             nftext = "(refused)"
     else:
-        bound, generic, nftext = "-", fmt(
-            determinacy_generic(f, "contact") if tau != float("inf") else float("inf")
-        ), "(condition fails: ray %s)" % (
-            list(finite.witness_ray.direction) if finite.witness_ray else "?",
+        bound = "-"
+        nftext = "(condition fails: ray %s)" % (
+            list(rep.witness_ray.direction) if rep.witness_ray else "?",
         )
     print(
         "%-10s char %2d | mu %-4s tau %-4s | finite %-5s exact %-5s | k %-3s (generic %-4s) | %s"
-        % (family, char, fmt(mu), fmt(tau), finite.holds, exact.holds, bound, generic, nftext)
+        % (family, char, fmt(mu), fmt(tau), finite, rep.holds, bound, generic, nftext)
     )
 
 

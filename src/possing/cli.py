@@ -29,16 +29,13 @@ from possing.grading import (
     Grading,
     check_condition,
     regular_basis,
-    vanishes_in_gr,
 )
 from possing.localalg import ReductionBudgetExceeded, milnor, tjurina
 from possing.newton import (
-    CPolytope,
     PolytopeError,
     cpolytope_from_poly,
     cpolytope_from_weights,
     initial_form,
-    inner_faces,
     newton_diagram,
     valuation,
 )
@@ -227,22 +224,18 @@ def cmd_inform(args, ring, f):
 def cmd_conditions(args, ring, f):
     P, prov = build_polytope(args, ring, f)
     out = {}
-    for mode, strict, key in (
-        ("right", False, "right_graded_finite"),
-        ("right", True, "right_graded_exact"),
-        ("contact", False, "contact_graded_finite"),
-        ("contact", True, "contact_graded_exact"),
-    ):
-        rep = check_condition(P, f, mode, strict, scan_bound=args.scan_bound)
-        out[key] = rep.holds
-        if mode == "right":
-            out["milnor"] = _jsonify(rep.local_dimension)
-            out["dim_gr_right"] = _jsonify(rep.graded_dimension)
-        else:
-            out["tjurina"] = _jsonify(rep.local_dimension)
-            out["dim_gr_contact"] = _jsonify(rep.graded_dimension)
+    for mode, local_name in (("right", "milnor"), ("contact", "tjurina")):
+        # one regular basis per mode: exactness is finiteness plus a count
+        rep = check_condition(P, f, mode, strict=True, scan_bound=args.scan_bound)
+        finite_key, exact_key = mode + "_graded_finite", mode + "_graded_exact"
+        out[finite_key] = rep.graded_dimension != INFINITY
+        out[local_name] = _jsonify(rep.local_dimension)
+        out["dim_gr_" + mode] = _jsonify(rep.graded_dimension)
         if rep.witness_ray is not None:
-            out.setdefault("witness_rays", {})[key] = list(rep.witness_ray.direction)
+            witnesses = out.setdefault("witness_rays", {})
+            for key in (finite_key, exact_key):
+                witnesses[key] = list(rep.witness_ray.direction)
+        out[exact_key] = rep.holds
     return out, prov
 
 

@@ -19,7 +19,6 @@ from possing.grading import (
     check_condition,
     plain_graded_dims,
     regular_basis,
-    vanishes_in_gr,
 )
 from possing.localalg import (
     INFINITY,
@@ -142,16 +141,14 @@ def checks_criterion_3() -> List[CheckResult]:
     R = _ring(3)
     f = poly_from_string(R, "x^12+x^3*y^2+y^3")
     P = cpolytope_from_poly(f)
-    tau = tjurina(f)
+    exact = check_condition(P, f, "contact", strict=True)
+    tau, rb = exact.local_dimension, exact.basis
     _check(out, 3, "tau = 21", tau == 21, "tau=%s" % tau)
-    rb = regular_basis(P, f, Grading.TJURINA_EXPECTED)
     _check(out, 3, "graded dimension 22", rb.dimension == 22, str(rb.dimension))
     got = _mono_names(R, rb.monomials())
     _check(out, 3, "regular basis is the 22 listed monomials",
            got == sorted(E33_BASIS), "got=%s" % got)
-    finite = check_condition(P, f, "contact", strict=False)
-    exact = check_condition(P, f, "contact", strict=True)
-    _check(out, 3, "contact graded finiteness holds", finite.holds)
+    _check(out, 3, "contact graded finiteness holds", exact.graded_dimension != INFINITY)
     _check(out, 3, "contact graded exactness fails", not exact.holds,
            "dim=%s tau=%s" % (exact.graded_dimension, exact.local_dimension))
     g = f + poly_from_string(R, "x*y^3+2*x^2*y^4+x^10*y")
@@ -586,13 +583,12 @@ def _normal_form_pool(rng, count: int):
                 fP = initial_form(P, f)
                 if fP != f:
                     continue
-                alg = GradedAlgebra(P, f, Grading.TJURINA_EXPECTED)
-                rb = regular_basis(P, f, Grading.TJURINA_EXPECTED, algebra=alg)
+                rb = regular_basis(P, f, Grading.TJURINA_EXPECTED)
             except Exception:
                 continue
             if not rb.finite:
                 continue
-            pool.append((ring, f, P, alg, rb))
+            pool.append((ring, f, P, rb))
             if len(pool) >= count:
                 return pool
     return pool
@@ -605,7 +601,7 @@ def suite_normal_form_tjurina(cases: int = 200) -> CheckResult:
     bad = None
     done = 0
     while done < cases and pool:
-        ring, f, P, alg, rb = pool[rng.randrange(len(pool))]
+        ring, f, P, rb = pool[rng.randrange(len(pool))]
         vf = valuation_poly(P, f)
         pert = _random_poly(rng, ring, maxdeg=7, terms=2)
         pert = pert.filter_terms(lambda m: P.value(m) > vf)
@@ -637,7 +633,7 @@ def suite_truncation_stability(cases: int = 200) -> CheckResult:
     bad = None
     done = 0
     while done < cases and pool:
-        ring, f, P, alg, rb = pool[rng.randrange(len(pool))]
+        ring, f, P, rb = pool[rng.randrange(len(pool))]
         vf = valuation_poly(P, f)
         pert = _random_poly(rng, ring, maxdeg=7, terms=2)
         pert = pert.filter_terms(lambda m: P.value(m) > vf)

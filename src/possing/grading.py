@@ -13,7 +13,8 @@ reduction and not by standard bases.
 The plain (non-expected) graded algebras of the quotients by the Jacobian
 and Tjurina ideals are computed by a single echelon over all monomials of
 bounded valuation: with columns sorted by valuation, the pivots at level d
-count the image inside that level.
+count the image inside that level.  Every echelon, expected or plain, is
+built by `_row_echelon` from (label, product) rows and a column list.
 
 Pivots always target the leading monomial in the local order, so surviving
 quotient monomials match the standard-monomial conventions of the rest of
@@ -37,7 +38,6 @@ from possing.newton import (
     _lattice_sweep,
     _primitive,
     derivation_monomials,
-    initial_form,
     monomials_of_valuation,
     valuation_poly,
 )
@@ -75,9 +75,8 @@ class _Echelon:
     at or after it, so reduction by ascending pivot position terminates.
     """
 
-    def __init__(self, ring, ncols: int, track: bool):
+    def __init__(self, ring, track: bool):
         self.ring = ring
-        self.ncols = ncols
         self.track = track
         self.pivots: Dict[int, tuple] = {}  # pos -> (row dict, combo dict | None)
 
@@ -137,6 +136,24 @@ class _Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+def _row_echelon(ring, cols: list, rows, track: bool):
+    """Echelon of (label, product) rows restricted to the monomials in cols.
+
+    Column i is cols[i]; terms outside cols are dropped.  Returns the
+    echelon and the labels of the rows with a nonzero restriction
+    (dependent rows included: they still span the image).
+    """
+    index = {m: i for i, m in enumerate(cols)}
+    ech = _Echelon(ring, track)
+    labels = []
+    for label, product in rows:
+        vec = {index[m]: c for m, c in product.terms.items() if m in index}
+        if vec:
+            ech.add_row(vec, label=label)
+            labels.append(label)
+    return ech, labels
 
 
 @dataclass
@@ -203,20 +220,11 @@ class GradedAlgebra:
     def _compute_piece(self, d: int) -> GradedPieceReport:
         if d < 0:
             raise ValueError("negative filtration degree")
-        P, ring = self.P, self.ring
-        ambient = monomials_of_valuation(P, d)
+        ambient = monomials_of_valuation(self.P, d)
         cols = sorted(ambient, key=local_key, reverse=True)
-        index = {m: i for i, m in enumerate(cols)}
-        ech = _Echelon(ring, len(cols), track=True)
-        labels = []
-        for label, product in self.generators(d - self.value_f):
-            vec = {
-                index[m]: c for m, c in product.terms.items() if P.value(m) == d
-            }
-            if not vec:
-                continue
-            ech.add_row(vec, label=label)
-            labels.append(label)  # dependent generators still span the image
+        ech, labels = _row_echelon(
+            self.ring, cols, self.generators(d - self.value_f), track=True
+        )
         survivors = [m for i, m in enumerate(cols) if i not in ech.pivots]
         survivors.sort(key=degrevlex_key)
         return GradedPieceReport(
@@ -287,75 +295,51 @@ def _plain_gens(f: Poly, mode: Grading) -> list:
     raise ValueError("plain mode expected")
 
 
-def plain_graded_dims(P: CPolytope, f: Poly, mode: Grading, dmax: int) -> list:
-    """Piece dimensions of the plain graded algebra for degrees 0..dmax.
+def _plain_echelon(P: CPolytope, f: Poly, mode: Grading, dmax: int):
+    """Columns, echelon and row labels of the plain image up to valuation dmax.
 
-    One echelon over all monomials of valuation <= dmax, columns sorted by
-    valuation: pivots at level d count the projected ideal there.
+    Columns are the monomials of valuation <= dmax by level, local-leading
+    first within a level; rows are ("mult", gamma, i) for x^gamma times the
+    i-th ideal generator.  The pivots at level d count the image there.
     """
-    gens = _plain_gens(f, mode)
-    ring = f.ring
-    cols = _level_ordered_columns(P, dmax)
-    index = {m: i for i, m in enumerate(cols)}
-    levels = [P.value(m) for m in cols]
-    ech = _Echelon(ring, len(cols), track=False)
-    for g in gens:
-        if g.is_zero():
-            continue
-        vg = valuation_poly(P, g)
-        for gamma in _lattice_sweep(P, 0, dmax - vg):
-            product = g.term_mul(gamma, 1)
-            vec = {index[m]: c for m, c in product.terms.items() if P.value(m) <= dmax}
-            if vec:
-                ech.add_row(vec)
-    pivot_levels = [levels[pos] for pos in ech.pivots]
-    dims = []
-    for d in range(dmax + 1):
-        total = sum(1 for lvl in levels if lvl == d)
-        hit = sum(1 for lvl in pivot_levels if lvl == d)
-        dims.append(total - hit)
-    return dims
-
-
-def _level_ordered_columns(P: CPolytope, dmax: int) -> list:
-    """Monomials of valuation <= dmax, by level, local-leading first per level."""
     by_level = {}
     for m in _lattice_sweep(P, 0, dmax):
         by_level.setdefault(P.value(m), []).append(m)
-    cols = []
-    for lvl in sorted(by_level):
-        cols.extend(sorted(by_level[lvl], key=local_key, reverse=True))
-    return cols
+    cols = [
+        m
+        for lvl in sorted(by_level)
+        for m in sorted(by_level[lvl], key=local_key, reverse=True)
+    ]
+    rows = (
+        (("mult", gamma, gi), g.term_mul(gamma, 1))
+        for gi, g in enumerate(_plain_gens(f, mode))
+        for gamma in _lattice_sweep(P, 0, dmax - valuation_poly(P, g))
+    )
+    ech, labels = _row_echelon(f.ring, cols, rows, track=False)
+    return cols, ech, labels
+
+
+def plain_graded_dims(P: CPolytope, f: Poly, mode: Grading, dmax: int) -> list:
+    """Piece dimensions of the plain graded algebra for degrees 0..dmax."""
+    cols, ech, _ = _plain_echelon(P, f, mode, dmax)
+    dims = [0] * (dmax + 1)
+    for pos, m in enumerate(cols):
+        if pos not in ech.pivots:
+            dims[P.value(m)] += 1
+    return dims
 
 
 def _plain_piece(P: CPolytope, f: Poly, d: int, mode: Grading) -> GradedPieceReport:
-    gens = _plain_gens(f, mode)
-    ring = f.ring
-    level_cols = sorted(monomials_of_valuation(P, d), key=local_key, reverse=True)
-    cols = _level_ordered_columns(P, d)
-    index = {m: i for i, m in enumerate(cols)}
-    ech = _Echelon(ring, len(cols), track=False)
-    labels = []
-    for gi, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        vg = valuation_poly(P, g)
-        for gamma in _lattice_sweep(P, 0, d - vg):
-            product = g.term_mul(gamma, 1)
-            vec = {index[m]: c for m, c in product.terms.items() if P.value(m) <= d}
-            if vec:
-                if ech.add_row(vec):
-                    labels.append(("mult", gamma, gi))
-    # pivots whose column sits at level d, projected: survivors at level d
-    pivot_monos = {cols[pos] for pos in ech.pivots if P.value(cols[pos]) == d}
-    survivors = [m for m in level_cols if m not in pivot_monos]
-    survivors.sort(key=degrevlex_key)
+    cols, ech, labels = _plain_echelon(P, f, mode, d)
+    level_cols = [m for m in cols if P.value(m) == d]
+    pivots = {cols[pos] for pos in ech.pivots}
+    survivors = sorted((m for m in level_cols if m not in pivots), key=degrevlex_key)
     return GradedPieceReport(
         mode=mode,
         degree=d,
         ambient=tuple(sorted(level_cols, key=degrevlex_key)),
         image_labels=tuple(labels),
-        rank=len(pivot_monos),
+        rank=len(level_cols) - len(survivors),
         quotient_basis=tuple(survivors),
         columns=tuple(level_cols),
         echelon=None,
@@ -411,11 +395,11 @@ class RayCriterionReport:
         return None
 
 
-def _default_scan_bound(P: CPolytope, f: Poly, mode: Grading) -> int:
-    est = milnor(f) if mode is Grading.MILNOR_EXPECTED else tjurina(f)
-    if est == INFINITY:
+def _default_scan_bound(local_dim) -> int:
+    """Ray scan bound from the Milnor or Tjurina number of f."""
+    if local_dim == INFINITY:
         return 24
-    return max(16, 4 * int(est))
+    return max(16, 4 * int(local_dim))
 
 
 def ray_criterion(
@@ -432,7 +416,10 @@ def ray_criterion(
     reports the ray as a witness.
     """
     alg = algebra if algebra is not None else GradedAlgebra(P, f, mode)
-    bound = scan_bound if scan_bound is not None else _default_scan_bound(P, f, mode)
+    if scan_bound is None:
+        scan_bound = _default_scan_bound(
+            milnor(f) if mode is Grading.MILNOR_EXPECTED else tjurina(f)
+        )
     rays = []
     for face in P.faces:
         if face.dimension != 0:
@@ -441,7 +428,7 @@ def ray_criterion(
         u = _primitive(vertex)
         hit = None
         mult = None
-        for k in range(1, bound + 1):
+        for k in range(1, scan_bound + 1):
             m = tuple(k * c for c in u)
             if alg.vanishes(m):
                 alg.record_kill(m)
@@ -454,7 +441,7 @@ def ray_criterion(
                 facets=face.weight_indices,
                 first_vanishing=hit,
                 multiple=mult,
-                scan_bound=bound,
+                scan_bound=scan_bound,
             )
         )
     return RayCriterionReport(rays=tuple(rays), all_vanish=all(r.first_vanishing for r in rays))
@@ -570,28 +557,17 @@ def check_condition(
         raise ValueError("mode must be 'right' or 'contact'")
     grmode = Grading.MILNOR_EXPECTED if mode == "right" else Grading.TJURINA_EXPECTED
     local_dim = milnor(f) if mode == "right" else tjurina(f)
+    if scan_bound is None:
+        scan_bound = _default_scan_bound(local_dim)
     rb = regular_basis(P, f, grmode, scan_bound=scan_bound)
-    if not rb.finite:
-        if local_dim != INFINITY and rb.witness_ray is None:
-            raise AssertionError("finite local dimension but no witness ray found")
-        return ConditionReport(
-            mode=mode,
-            strict=strict,
-            holds=False,
-            graded_dimension=INFINITY,
-            local_dimension=local_dim,
-            witness_ray=rb.witness_ray,
-            basis=rb,
-        )
-    holds = True
-    if strict:
-        holds = local_dim != INFINITY and rb.dimension == local_dim
+    if not rb.finite and local_dim != INFINITY and rb.witness_ray is None:
+        raise AssertionError("finite local dimension but no witness ray found")
     return ConditionReport(
         mode=mode,
         strict=strict,
-        holds=holds,
-        graded_dimension=rb.dimension,
+        holds=rb.finite and (not strict or rb.dimension == local_dim),
+        graded_dimension=rb.dimension,  # INFINITY when not finite
         local_dimension=local_dim,
-        witness_ray=None,
+        witness_ray=rb.witness_ray,  # None when finite
         basis=rb,
     )

@@ -23,7 +23,6 @@ from possing.poly import (
     Derivation,
     Mono,
     Poly,
-    Ring,
     degrevlex_key,
 )
 

@@ -25,6 +25,7 @@ from possing.localalg import (
     saturate,
     std_basis,
     tjurina,
+    vdim,
 )
 from possing.newton import (
     CPolytope,
@@ -264,15 +265,17 @@ def saito_check(f: Poly) -> bool:
     """Characteristic zero only: does the Milnor number equal the Tjurina number?
 
     Computed both numerically and through membership of f in its own
-    Jacobian ideal; the two verdicts must agree.
+    Jacobian ideal, whose one standard basis also gives the Milnor number;
+    the two verdicts must agree.
     """
     if f.ring.char != 0:
         raise ValueError("the Milnor==Tjurina criterion is a characteristic-zero test")
-    mu = milnor(f)
+    gens = jacobian_ideal_gens(f)
+    sb = std_basis(gens, LOCAL) if gens else None
+    mu = vdim(sb).dimension if sb is not None else INFINITY
     if mu == INFINITY:
         raise ValueError("requires an isolated singularity (finite Milnor number)")
     tau = tjurina(f)
-    sb = std_basis(jacobian_ideal_gens(f), LOCAL)
     member, _ = ideal_membership(f, sb)
     if (mu == tau) != member:
         raise AssertionError("numeric and membership verdicts disagree")

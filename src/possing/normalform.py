@@ -39,12 +39,11 @@ from possing.grading import (
     GradedAlgebra,
     Grading,
     RegularBasisResult,
-    _Echelon,
+    _row_echelon,
     regular_basis,
 )
 from possing.localalg import (
     LOCAL,
-    jacobian_ideal_gens,
     milnor,
     min_power_containment,
     std_basis,
@@ -54,7 +53,6 @@ from possing.newton import CPolytope, initial_form, valuation_poly
 from possing.poly import (
     INFINITY,
     Automorphism,
-    Derivation,
     Poly,
     apply_transformation,
     degrevlex_key,
@@ -67,7 +65,6 @@ class DeterminacyReport:
     """Bounds on the determinacy degree of f."""
 
     mode: str  # "right" | "contact"
-    generic_bound: object  # 2*mu - ord + 2 resp. 2*tau - ord + 2
     filtered_bound: Optional[int]  # from the basis valuations, when finite
     max_valuation: Optional[int]  # d = max over principal part and basis
     precondition_k0: Optional[int]  # minimal k with m^(k+2) in the tangent ideal
@@ -134,12 +131,9 @@ def determinacy_filtered(
     d = max(valuation_poly(P, initial_form(P, f)), basis.max_valuation())
     minv = P.min_variable_value()
     k = -(-(d + 1) // minv) - 1  # ceil((d+1)/minv) - 1
-    inv = milnor(f) if mode == "right" else tjurina(f)
-    generic = 2 * int(inv) - int(f.order()) + 2 if inv != INFINITY else INFINITY
     k0 = precondition_constant(f, mode)
     return DeterminacyReport(
         mode=mode,
-        generic_bound=generic,
         filtered_bound=k,
         max_valuation=d,
         precondition_k0=None if k0 == INFINITY else k0,
@@ -179,8 +173,8 @@ def _wide_image(alg: GradedAlgebra, d: int, t_min: int):
     Generators are f_P*gamma (contact only) and x^beta*d_i(f_P) of
     valuation t_min..d-v(f_P).  Columns put every monomial below level d
     first, so the pivot rows that sit at level d are exactly the level-d
-    parts of combinations whose lower parts cancel.  Returns the echelon,
-    its columns and their index.
+    parts of combinations whose lower parts cancel.  Returns the echelon
+    and its columns.
     """
     P = alg.P
     gens = [g for t in range(t_min, d - alg.value_f + 1) for g in alg.generators(t)]
@@ -189,13 +183,8 @@ def _wide_image(alg: GradedAlgebra, d: int, t_min: int):
         key=lambda m: (P.value(m), degrevlex_key(m)),
     )
     cols = lower + list(alg.piece(d).columns)
-    index = {m: i for i, m in enumerate(cols)}
-    ech = _Echelon(alg.ring, len(cols), track=True)
-    for label, product in gens:
-        vec = {index[m]: c for m, c in product.terms.items() if P.value(m) <= d}
-        if vec:
-            ech.add_row(vec, label=label)
-    return ech, cols, index
+    ech, _ = _row_echelon(alg.ring, cols, gens, track=True)
+    return ech, cols
 
 
 def _split(alg: GradedAlgebra, residual: Poly, d: int, v_low: int):
@@ -211,7 +200,8 @@ def _split(alg: GradedAlgebra, residual: Poly, d: int, v_low: int):
     t_min = max((d - alg.value_f) // 2, d - v_low) + 1
     if not basis_coeffs or t_min >= d - alg.value_f:
         return basis_coeffs, list(used.items())
-    ech, cols, index = _wide_image(alg, d, t_min)
+    ech, cols = _wide_image(alg, d, t_min)
+    index = {m: i for i, m in enumerate(cols)}
     rest, wide_used = ech.reduce({index[m]: c for m, c in basis_coeffs.items()})
     basis_coeffs = {cols[pos]: c for pos, c in rest.items()}
     if any(m not in alg.piece(d).quotient_basis for m in basis_coeffs):

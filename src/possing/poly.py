@@ -12,7 +12,7 @@ that agree with the series up to that degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 

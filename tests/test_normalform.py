@@ -65,7 +65,7 @@ class TestDeterminacyFiltered:
         rep = determinacy_filtered(Pw, f, rb, "contact")
         assert rep.max_valuation == 112
         assert rep.filtered_bound == 18
-        assert rep.filtered_bound <= rep.generic_bound
+        assert rep.filtered_bound <= determinacy_generic(f, "contact")
 
     def test_tpq_max(self):
         for p, q, char in ((4, 5, 0), (5, 6, 0), (5, 7, 11)):
