@@ -43,8 +43,12 @@ CASES = [
     ["cpoly", "--vars", "x,y,z", "x^3+x*y^3+z^2"],
     ["classify", "--vars", "x,y,z", "x^3+x*y^3+z^2+y^5"],
     ["classify", "--vars", "x,y", "--weights", "1,1", "--scan-bound", "4", "x^2+x^2*y"],
-    ["conditions", "--char", "2", "--vars", "x,y", "--scan-bound", "8", "x^5+x^2*y^2+y^4"],
 ]
+
+# Kept out of CASES so that the parametrized ids above stay `conditions`,
+# `classify0`, ... and this case gets a test name of its own.
+WITNESS_CASE = ["conditions", "--char", "2", "--vars", "x,y", "--scan-bound", "8",
+                "x^5+x^2*y^2+y^4"]
 
 
 def report(argv) -> str:
@@ -57,7 +61,7 @@ def report(argv) -> str:
 
 
 def test_golden_covers_every_case():
-    assert list(json.loads(GOLDEN.read_text())) == [" ".join(a) for a in CASES]
+    assert list(json.loads(GOLDEN.read_text())) == [" ".join(a) for a in CASES + [WITNESS_CASE]]
 
 
 @pytest.mark.parametrize("argv", CASES, ids=lambda a: a[0])
@@ -66,6 +70,10 @@ def test_json_output_matches_golden(argv):
     assert report(argv) == json.dumps(expected, sort_keys=True, indent=2)
 
 
+def test_conditions_witness_matches_golden():
+    test_json_output_matches_golden(WITNESS_CASE)
+
+
 if __name__ == "__main__":
-    golden = {" ".join(argv): json.loads(report(argv)) for argv in CASES}
+    golden = {" ".join(argv): json.loads(report(argv)) for argv in CASES + [WITNESS_CASE]}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
