@@ -19,6 +19,7 @@ consistency check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -26,8 +27,8 @@ from fractions import Fraction
 
 from possing.grading import (
     ConditionFailure,
-    Grading,
     check_condition,
+    expected_grading,
     regular_basis,
 )
 from possing.localalg import ReductionBudgetExceeded, milnor, tjurina
@@ -241,8 +242,7 @@ def cmd_conditions(args, ring, f):
 
 def cmd_regbasis(args, ring, f):
     P, prov = build_polytope(args, ring, f)
-    grmode = Grading.MILNOR_EXPECTED if args.mode == "right" else Grading.TJURINA_EXPECTED
-    rb = regular_basis(P, f, grmode, scan_bound=args.scan_bound)
+    rb = regular_basis(P, f, expected_grading(args.mode), scan_bound=args.scan_bound)
     result = {"status": rb.status, "dimension": _jsonify(rb.dimension)}
     if rb.finite:
         result["basis"] = [
@@ -329,9 +329,8 @@ def cmd_normalform(args, ring, f):
 
 def cmd_determinacy(args, ring, f):
     P, prov = build_polytope(args, ring, f)
-    grmode = Grading.MILNOR_EXPECTED if args.mode == "right" else Grading.TJURINA_EXPECTED
     fP = initial_form(P, f)
-    rb = regular_basis(P, fP, grmode, scan_bound=args.scan_bound)
+    rb = regular_basis(P, fP, expected_grading(args.mode), scan_bound=args.scan_bound)
     result = {"generic_bound": _jsonify(determinacy_generic(f, args.mode))}
     if rb.finite:
         rep = determinacy_filtered(P, f, rb, args.mode)
@@ -382,6 +381,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="possing",

@@ -567,7 +567,7 @@ def suite_innd_implies_finiteness(cases: int = 200) -> CheckResult:
     )
 
 
-def _normal_form_pool(rng, count: int):
+def _normal_form_pool(count: int):
     """Principal parts with finite contact graded algebra, with their data."""
     pool = []
     shapes = [
@@ -597,7 +597,7 @@ def _normal_form_pool(rng, count: int):
 def suite_normal_form_tjurina(cases: int = 200) -> CheckResult:
     """Contact normal forms preserve the Tjurina number and replay exactly."""
     rng = random.Random(906)
-    pool = _normal_form_pool(rng, 24)
+    pool = _normal_form_pool(24)
     bad = None
     done = 0
     while done < cases and pool:
@@ -629,7 +629,7 @@ def suite_normal_form_tjurina(cases: int = 200) -> CheckResult:
 def suite_truncation_stability(cases: int = 200) -> CheckResult:
     """Truncating past the filtered determinacy bound never changes the tail."""
     rng = random.Random(907)
-    pool = _normal_form_pool(rng, 24)
+    pool = _normal_form_pool(24)
     bad = None
     done = 0
     while done < cases and pool:

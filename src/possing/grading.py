@@ -59,6 +59,17 @@ class Grading(Enum):
         return self in (Grading.TJURINA, Grading.TJURINA_EXPECTED)
 
 
+def expected_grading(mode: str) -> Grading:
+    """The expected grading of mode 'right' (Milnor) or 'contact' (Tjurina).
+
+    Any other mode string raises ValueError, so callers also use it as the
+    mode check.
+    """
+    if mode not in ("right", "contact"):
+        raise ValueError("mode must be 'right' or 'contact'")
+    return Grading.MILNOR_EXPECTED if mode == "right" else Grading.TJURINA_EXPECTED
+
+
 class ConditionFailure(ValueError):
     """A finiteness condition required by the caller does not hold."""
 
@@ -417,9 +428,7 @@ def ray_criterion(
     """
     alg = algebra if algebra is not None else GradedAlgebra(P, f, mode)
     if scan_bound is None:
-        scan_bound = _default_scan_bound(
-            milnor(f) if mode is Grading.MILNOR_EXPECTED else tjurina(f)
-        )
+        scan_bound = _default_scan_bound(tjurina(f) if mode.contact else milnor(f))
     rays = []
     for face in P.faces:
         if face.dimension != 0:
@@ -553,10 +562,8 @@ def check_condition(
     number; mode 'contact' the Tjurina flavor against the Tjurina number.
     Exactness means finiteness with graded dimension equal to the local one.
     """
-    if mode not in ("right", "contact"):
-        raise ValueError("mode must be 'right' or 'contact'")
-    grmode = Grading.MILNOR_EXPECTED if mode == "right" else Grading.TJURINA_EXPECTED
-    local_dim = milnor(f) if mode == "right" else tjurina(f)
+    grmode = expected_grading(mode)
+    local_dim = tjurina(f) if grmode.contact else milnor(f)
     if scan_bound is None:
         scan_bound = _default_scan_bound(local_dim)
     rb = regular_basis(P, f, grmode, scan_bound=scan_bound)

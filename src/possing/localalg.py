@@ -9,10 +9,11 @@ certificates with their unit), with a certified truncation fallback for
 finite-dimensional quotients since the naive Mora strategy can take
 astronomically long on tail-heavy input.  Membership is decided in the
 extension of the ideal to the formal power series ring, which is what
-Milnor/Tjurina numbers need.  A global degrevlex Buchberger drives
-saturation (used by the inner non-degeneracy test); no monomial order can
-refine a multi-facet piecewise degree, so nothing here is used for the
-graded algebras themselves.
+Milnor/Tjurina numbers need.  Saturation (used by the inner
+non-degeneracy test) is one global Buchberger run that eliminates the
+Rabinowitsch variable; no monomial order can refine a multi-facet
+piecewise degree, so nothing here is used for the graded algebras
+themselves.
 """
 
 from __future__ import annotations
@@ -394,26 +395,24 @@ def _monomials_of_degree(ring: Ring, d: int):
 
 
 def min_power_containment(sb: StandardBasis):
-    """Smallest k with every degree-k monomial in the ideal; INFINITY if none.
+    """Smallest k with m^k inside the ideal; INFINITY if there is none.
 
-    Scans k upward testing all degree-k monomials for membership.  When the
-    quotient dimension v is finite, stabilization of the chain of ideals
-    m^k + I forces an answer at k <= v + 1, so the scan is bounded.
+    Read off the standard monomials: k is one more than their largest
+    degree, and 0 when there are none (the unit ideal).  If m^k lies in I,
+    every monomial of degree >= k is a leading monomial of I, so no
+    standard monomial reaches degree k.  Conversely, let every standard
+    monomial have degree < k.  The local order is degree-compatible (lower
+    degree ranks higher), so for a nonzero combination h of standard
+    monomials and any r in m^k, h - r leads with a standard monomial and is
+    not in I: the standard monomials stay independent modulo I + m^k.  So
+    dim K[[x]]/(I + m^k) = dim K[[x]]/I, and m^k lies in I.
     """
     if not sb.ordering.is_local:
         raise ValueError("min_power_containment needs a local standard basis")
     report = vdim(sb)
     if report.dimension == INFINITY:
         return INFINITY
-    ring = sb.ring
-    cutoff = int(report.dimension) + 2
-    for k in range(cutoff):
-        if all(
-            sb.reduce_truncated(ring.monomial(m), cutoff).is_zero()
-            for m in _monomials_of_degree(ring, k)
-        ):
-            return k
-    raise AssertionError("containment scan passed its provable ceiling")
+    return max((sum(m) + 1 for m in report.standard_monomials), default=0)
 
 
 @dataclass(frozen=True)
@@ -473,67 +472,29 @@ def _drop_tag(ring: Ring, f: Poly) -> Poly:
     return Poly(ring, {m[:-1]: c for m, c in f.terms.items()})
 
 
-def _exact_divide(h: Poly, g: Poly) -> Poly:
-    """Quotient h/g for h in the principal ideal <g> (global division)."""
-    ring = h.ring
-    key = degrevlex_key
-    lm_g = leading_monomial(g, key)
-    lc_g = g.terms[lm_g]
-    q = ring.zero()
-    rem = h
-    while not rem.is_zero():
-        lm = leading_monomial(rem, key)
-        if not mono_divides(lm_g, lm):
-            raise ArithmeticError("exact division failed")
-        c = ring.cmul(rem.terms[lm], ring.cinv(lc_g))
-        t = mono_div(lm, lm_g)
-        q = q + ring.monomial(t, c)
-        rem = rem - g.term_mul(t, c)
-    return q
-
-
-def ideal_intersection_principal(gens: list, g: Poly) -> list:
-    """Generators of I intersect <g>, via tag-variable elimination."""
-    ring = gens[0].ring if gens else g.ring
-    ring_t = _with_tag_variable(ring)
-    lifted = [_lift(ring_t, p, 1) for p in gens]
-    # (1 - t) * g
-    tg = _lift(ring_t, g, 1)
-    lifted.append(_lift(ring_t, g, 0) - tg)
-    basis = _buchberger(lifted, _elim_key)
-    out = []
-    for b in basis:
-        if all(m[-1] == 0 for m in b.terms):
-            out.append(_drop_tag(ring, b))
-    return out
-
-
-def ideal_quotient_principal(gens: list, g: Poly) -> list:
-    """Generators of I : <g> = (I intersect <g>) / g."""
-    inter = ideal_intersection_principal(gens, g)
-    return [_exact_divide(h, g) for h in inter]
-
-
 def saturate(gens: Iterable, g: Poly) -> list:
-    """Generators of I : g^infinity by iterated quotient until stabilization.
+    """Generators of I : g^infinity, by the Rabinowitsch elimination.
 
-    Works in the polynomial ring under the global degrevlex order.
+    I : g^infinity = (I + <1 - t*g>) meet K[x] for a new variable t.  One
+    Groebner basis of the lifted generators and 1 - t*g under an
+    elimination order for t (t-degree first, degrevlex below) gives it:
+    the t-free basis elements generate the intersection and form a
+    degrevlex Groebner basis of it.  They are returned monic, minimalized
+    and sorted by leading monomial, as `std_basis(..., GLOBAL)` would.
+    Works in the polynomial ring, not the local ring.
     """
     if g.is_zero():
         raise ValueError("cannot saturate by zero")
-    current = [p for p in gens if not p.is_zero()]
-    if not current:
+    gens = [p for p in gens if not p.is_zero()]
+    if not gens:
         return []
-    while True:
-        nxt = ideal_quotient_principal(current, g)
-        nxt = [p for p in nxt if not p.is_zero()]
-        if not nxt:
-            return current
-        gb = std_basis(current, GLOBAL)
-        if all(gb.contains(p) for p in nxt):
-            gb_min = [g2 for g2 in gb.generators]
-            return gb_min
-        current = nxt
+    ring = gens[0].ring
+    ring_t = _with_tag_variable(ring)
+    lifted = [_lift(ring_t, p, 0) for p in gens]
+    lifted.append(ring_t.one() - _lift(ring_t, g, 1))
+    basis = _buchberger(lifted, _elim_key)
+    free = [_drop_tag(ring, b) for b in basis if all(m[-1] == 0 for m in b.terms)]
+    return [p for _, p in _minimalize(free, degrevlex_key)]
 
 
 def contains_one(gens: list) -> bool:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from possing.grading import expected_grading
 from possing.localalg import (
     LOCAL,
     contains_one,
@@ -144,8 +145,7 @@ def sqh_check(f: Poly, w, mode: str) -> SQHReport:
     principal part has finite Milnor number the formula value equals it
     (and equals the Milnor number of f itself).
     """
-    if mode not in ("right", "contact"):
-        raise ValueError("mode must be 'right' or 'contact'")
+    expected_grading(mode)
     w = tuple(int(c) for c in w)
     if any(c <= 0 for c in w):
         raise ValueError("weights must be positive")

@@ -37,9 +37,9 @@ from typing import Optional
 from possing.grading import (
     ConditionFailure,
     GradedAlgebra,
-    Grading,
     RegularBasisResult,
     _row_echelon,
+    expected_grading,
     regular_basis,
 )
 from possing.localalg import (
@@ -70,18 +70,13 @@ class DeterminacyReport:
     precondition_k0: Optional[int]  # minimal k with m^(k+2) in the tangent ideal
 
 
-def _require_mode(mode: str):
-    if mode not in ("right", "contact"):
-        raise ValueError("mode must be 'right' or 'contact'")
-
-
 def determinacy_generic(f: Poly, mode: str) -> int:
     """The order-based determinacy bound from the local invariant alone."""
-    _require_mode(mode)
-    inv = milnor(f) if mode == "right" else tjurina(f)
+    contact = expected_grading(mode).contact
+    inv = tjurina(f) if contact else milnor(f)
     if inv == INFINITY:
         raise ConditionFailure("infinite %s invariant; not finitely determined"
-                               % ("Milnor" if mode == "right" else "Tjurina"))
+                               % ("Tjurina" if contact else "Milnor"))
     return 2 * int(inv) - int(f.order()) + 2
 
 
@@ -104,7 +99,7 @@ def _tangent_ideal_gens(f: Poly, mode: str) -> list:
 
 def precondition_constant(f: Poly, mode: str):
     """Minimal k with m^(k+2) inside m^2 jac(f) (right) or m<f> + m^2 jac(f)."""
-    _require_mode(mode)
+    expected_grading(mode)
     gens = _tangent_ideal_gens(f, mode)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -125,7 +120,7 @@ def determinacy_filtered(
     is m times the least variable valuation (the valuation is concave, so
     its minimum over the degree simplex sits at a vertex).
     """
-    _require_mode(mode)
+    expected_grading(mode)
     if not basis.finite:
         raise ConditionFailure("infinite regular basis", witness=basis.witness_ray)
     d = max(valuation_poly(P, initial_form(P, f)), basis.max_valuation())
@@ -246,9 +241,8 @@ def reduce_step(
     image part.  Returns the transformed series and the applied
     transformation.
     """
-    _require_mode(mode)
     ring = current.ring
-    grmode = Grading.MILNOR_EXPECTED if mode == "right" else Grading.TJURINA_EXPECTED
+    grmode = expected_grading(mode)
     alg = algebra if algebra is not None else GradedAlgebra(P, fP, grmode)
     residual = current - fP
     if residual.is_zero():
@@ -281,12 +275,11 @@ def normal_form(
     failure raises NormalFormRefusal carrying the witness ray) and the
     containment of a power of the maximal ideal in the tangent ideal of f.
     """
-    _require_mode(mode)
+    grmode = expected_grading(mode)
     if f.is_zero() or f.constant_term():
         raise ValueError("need a nonzero f without constant term")
     ring = f.ring
     fP = initial_form(P, f)
-    grmode = Grading.MILNOR_EXPECTED if mode == "right" else Grading.TJURINA_EXPECTED
     alg = GradedAlgebra(P, fP, grmode)
     basis = regular_basis(P, fP, grmode, scan_bound=scan_bound, algebra=alg)
     if not basis.finite:

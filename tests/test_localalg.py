@@ -5,6 +5,7 @@ from possing.localalg import (
     GLOBAL,
     INFINITY,
     LOCAL,
+    bruteforce_local_dim,
     bruteforce_vdim,
     contains_one,
     ideal_membership,
@@ -16,6 +17,7 @@ from possing.localalg import (
     tjurina,
     vdim,
 )
+from possing.normalform import _tangent_ideal_gens
 from possing.poly import Poly, Ring, poly_from_string
 
 
@@ -188,3 +190,61 @@ def test_tau_at_most_mu(char, terms, a, b):
     mu = milnor(f)
     assume(mu != INFINITY)
     assert tjurina(f) <= mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 2, 3, 5]),
+    small_polys,
+    st.integers(2, 4),
+    st.integers(2, 4),
+    st.sampled_from(["jacobian", "right", "contact"]),
+)
+def test_min_power_containment_agrees_with_bruteforce(char, terms, a, b, ideal):
+    """The read-off k is the least k with dim K[[x]]/(I + m^k) = dim K[[x]]/I."""
+    ring = Ring(char, ("x", "y"))
+    f = ring.monomial((a, 0)) + ring.monomial((0, b)) + ring.poly(
+        [(m, c) for m, c in terms if 2 <= sum(m) <= 4]
+    )
+    assume(not f.is_zero() and not f.constant_term())
+    gens = jacobian_ideal_gens(f) if ideal == "jacobian" else _tangent_ideal_gens(f, ideal)
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    sb = std_basis(gens, LOCAL)
+    dim = vdim(sb).dimension
+    assume(dim != INFINITY)
+    oracle = next(k for k in range(dim + 1) if bruteforce_local_dim(gens, k) == dim)
+    assert min_power_containment(sb) == oracle
+
+
+sat_polys = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(1, 4)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chars,
+    st.lists(sat_polys, min_size=1, max_size=3),
+    st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+)
+def test_saturate_is_the_saturation(char, gen_terms, g_expo):
+    """I lies in I : g^inf, each result generator times a power of g lies in I,
+    and the result is the unit ideal when a power of g lies in I."""
+    ring = Ring(char, ("x", "y"))
+    gens = [g for g in (ring.poly(terms) for terms in gen_terms) if not g.is_zero()]
+    assume(gens)
+    g = ring.monomial(g_expo)
+    out = saturate(gens, g)
+    sat = std_basis(out, GLOBAL)
+    assert all(sat.contains(p) for p in gens)
+    ideal = std_basis(gens, GLOBAL)
+    powers = [ring.one()]
+    for _ in range(16):
+        powers.append(powers[-1] * g)
+    for s in out:
+        assert any(ideal.contains(gk * s) for gk in powers)
+    if any(ideal.contains(gk) for gk in powers):
+        assert contains_one(out)
