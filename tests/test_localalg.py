@@ -119,6 +119,12 @@ class TestMembership:
         member, cert = ideal_membership(RQ.var(0), sb, certificate=True)
         assert member and cert.verify(RQ.var(0), sb.generators)
 
+    def test_member_of_infinite_quotient(self):
+        sb = std_basis([P(RQ, "y^3")], LOCAL)
+        assert vdim(sb).dimension == INFINITY
+        assert sb.contains(P(RQ, "y^3+x*y^3"))
+        assert not sb.contains(P(RQ, "y^2+x*y^3"))
+
 
 class TestSaturate:
     def test_monomial(self):
