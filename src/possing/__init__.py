@@ -1,6 +1,6 @@
 """Exact local computations for isolated hypersurface singularities.
 
-Sparse polynomial arithmetic over Q and F_p, local standard bases (Mora),
+Sparse polynomial arithmetic over Q and F_p, local standard bases (Lazard),
 Milnor/Tjurina numbers, Newton diagrams and weight polytopes, piecewise
 valuations, expected-valuation graded algebras with their finiteness and
 exactness conditions, inner non-degeneracy, determinacy bounds and normal
@@ -17,7 +17,6 @@ from possing.localalg import (
     milnor,
     tjurina,
     min_power_containment,
-    ideal_membership,
     saturate,
 )
 from possing.newton import (
@@ -74,7 +73,6 @@ __all__ = [
     "milnor",
     "tjurina",
     "min_power_containment",
-    "ideal_membership",
     "saturate",
     "NewtonData",
     "CPolytope",

@@ -11,9 +11,8 @@ insignificant.  Weight lists are semicolon-separated vectors of comma
 separated positive rationals, e.g. --weights "4,6;5,5".
 
 Exit codes: 0 success, 1 usage error, 2 mathematical refusal (for example
-a normal form request whose finiteness condition fails), 3 internal
-failure (a reduction that exceeds its step budget or a failed internal
-consistency check).
+a normal form request whose finiteness condition fails), 3 a failed
+internal consistency check.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from possing.grading import (
     expected_grading,
     regular_basis,
 )
-from possing.localalg import ReductionBudgetExceeded, milnor, tjurina
+from possing.localalg import milnor, tjurina
 from possing.newton import (
     PolytopeError,
     cpolytope_from_poly,
@@ -449,7 +448,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     except (ValueError, ArithmeticError) as exc:
         print("error: invalid: %s" % exc, file=err)
         return USAGE_ERROR
-    except (ReductionBudgetExceeded, AssertionError) as exc:
+    except AssertionError as exc:
         print("error: internal: %s" % exc, file=err)
         return INTERNAL_ERROR
     report = {

@@ -96,11 +96,7 @@ class _Echelon:
         vec = dict(vec)
         used: Dict[object, object] = {}
         while True:
-            hit = None
-            for pos in sorted(vec):
-                if pos in self.pivots:
-                    hit = pos
-                    break
+            hit = min((pos for pos in vec if pos in self.pivots), default=None)
             if hit is None:
                 break
             row, rowcombo = self.pivots[hit]

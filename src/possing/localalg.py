@@ -3,17 +3,15 @@
 Standard bases under the local degree order are completed by Lazard's
 homogenization: Buchberger runs on the homogenized generators under a
 degree-first order whose tie-break is the local order of the x-part, and
-the result dehomogenizes to a standard basis.  Queries against a basis
-use Mora's ecart-driven weak normal form (which also produces membership
-certificates with their unit), with a certified truncation fallback for
-finite-dimensional quotients since the naive Mora strategy can take
-astronomically long on tail-heavy input.  Membership is decided in the
+the result dehomogenizes to a standard basis.  One division routine,
+`_reduce`, serves Buchberger and membership; membership is decided in the
 extension of the ideal to the formal power series ring, which is what
-Milnor/Tjurina numbers need.  Saturation (used by the inner
-non-degeneracy test) is one global Buchberger run that eliminates the
-Rabinowitsch variable; no monomial order can refine a multi-facet
-piecewise degree, so nothing here is used for the graded algebras
-themselves.
+Milnor/Tjurina numbers need, by division below the power of the maximal
+ideal that the ideal contains, or by comparing leading ideals when the
+quotient is infinite.  Saturation (used by the inner non-degeneracy test)
+is one global Buchberger run that eliminates the Rabinowitsch variable; no
+monomial order can refine a multi-facet piecewise degree, so nothing here
+is used for the graded algebras themselves.
 """
 
 from __future__ import annotations
@@ -69,85 +67,29 @@ def _monic(f: Poly, key) -> Poly:
     return f.scale(f.ring.cinv(f.terms[lm]))
 
 
-class _Tracked:
-    """Polynomial with a running representation h = a*seed + sum(q_i * gens_i)."""
+def _reduce(g: Poly, basis, lms, key, cutoff: Optional[int] = None) -> Poly:
+    """Remainder of g under top-reduction by a monic basis.
 
-    __slots__ = ("poly", "a", "qs")
-
-    def __init__(self, poly: Poly, a: Poly, qs: list):
-        self.poly = poly
-        self.a = a
-        self.qs = qs
-
-
-class ReductionBudgetExceeded(RuntimeError):
-    pass
-
-
-def _normal_form(
-    g: Poly,
-    reducers: list,
-    key,
-    allow_stash: bool,
-    track: bool = False,
-    max_steps: Optional[int] = None,
-):
-    """Weak normal form of g against the reducers.
-
-    With a local order this is Mora's normal form: when every applicable
-    reducer has larger ecart than the current remainder, the remainder
-    itself is stashed as a new reducer; the accumulated coefficient on g
-    then stays a unit.  With a global order no stashing happens and this
-    is plain division.  Mora terminates, but its naive strategy can take
-    astronomically long on tail-heavy inputs, hence the step budget.
-
-    Returns (h, unit, cofactors) when track is set, satisfying
-    unit*g == sum(cofactors[i]*reducers[i]) + h with unit(0) != 0;
-    otherwise (h, None, None).
+    Each step cancels the remainder's leading term with the first basis
+    element whose leading monomial (lms, in the basis order) divides it, and
+    stops when none does.  With a cutoff, every term of degree >= cutoff is
+    dropped after each step.  Without a cutoff this terminates under a
+    global order only.  With one it terminates under any order: the leading
+    monomial strictly falls, and finitely many monomials lie below the
+    cutoff.
     """
-    ring = g.ring
-    ngens = len(reducers)
-
-    def ecart(p: Poly) -> int:
-        return p.degree() - sum(leading_monomial(p, key))
-
-    pool = []
-    for i, r in enumerate(reducers):
-        if r.is_zero():
-            continue
-        qs = None
-        if track:
-            qs = [ring.zero()] * ngens
-            qs[i] = ring.one()
-        pool.append((leading_monomial(r, key), ecart(r), _Tracked(r, ring.zero(), qs)))
-
-    h = _Tracked(g, ring.one(), [ring.zero()] * ngens if track else None)
-    steps = 0
-    while not h.poly.is_zero():
-        lm_h = leading_monomial(h.poly, key)
-        usable = [entry for entry in pool if mono_divides(entry[0], lm_h)]
-        if not usable:
+    h = g if cutoff is None else g.truncate(cutoff - 1)
+    while not h.is_zero():
+        lm_h = leading_monomial(h, key)
+        for lm, b in zip(lms, basis):
+            if mono_divides(lm, lm_h):
+                break
+        else:
             break
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise ReductionBudgetExceeded("normal form exceeded %d steps" % max_steps)
-        lm_r, ec_r, red = min(usable, key=lambda entry: entry[1])
-        if allow_stash and ec_r > (h.poly.degree() - sum(lm_h)):
-            stashed = _Tracked(h.poly, h.a, list(h.qs) if track else None)
-            pool.append((lm_h, h.poly.degree() - sum(lm_h), stashed))
-        # stashed reducers are not monic: scale by their leading coefficient
-        c = ring.cmul(h.poly.terms[lm_h], ring.cinv(red.poly.terms[lm_r]))
-        t = mono_div(lm_h, lm_r)
-        h_poly = h.poly - red.poly.term_mul(t, c)
-        if track:
-            h.a = h.a - red.a.term_mul(t, c)
-            h.qs = [hq - rq.term_mul(t, c) for hq, rq in zip(h.qs, red.qs)]
-        h.poly = h_poly
-    if track:
-        unit = h.a
-        cofactors = [-q for q in h.qs]
-        return h.poly, unit, cofactors
-    return h.poly, None, None
+        h = h - b.term_mul(mono_div(lm_h, lm), h.terms[lm_h])
+        if cutoff is not None:
+            h = h.truncate(cutoff - 1)
+    return h
 
 
 @dataclass(frozen=True)
@@ -162,52 +104,35 @@ class StandardBasis:
     def ring(self) -> Ring:
         return self.generators[0].ring
 
-    def normal_form(self, g: Poly, max_steps: Optional[int] = 50000) -> Poly:
-        key = self.ordering.key()
-        h, _, _ = _normal_form(
-            g, list(self.generators), key, self.ordering.is_local, max_steps=max_steps
-        )
-        return h
+    def contains(self, g: Poly) -> bool:
+        """Membership of g in the ideal I (extended to the power series ring
+        for the local order).  Each branch is exact.
 
-    def reduce_truncated(self, g: Poly, cutoff: int) -> Poly:
-        """Reduction with all terms of degree >= cutoff discarded.
+        Global order: g lies in I exactly when its remainder under division
+        by the Groebner basis is zero.
 
-        Decides membership in the ideal plus the cutoff power of the
-        maximal ideal: the leading monomials below the cutoff are exactly
-        those of the full ideal there.
+        Local order, finite quotient: let c = min_power_containment(self).
+        Then m^c lies in I, so I = I + m^c and L(I + m^c) = L(I) + m^c.
+        Division with every term of degree >= c dropped changes g only by
+        elements of I, so g - h lies in I for its remainder h.  A nonzero h
+        leads with a monomial outside L(I), so h is not in I.  Hence g lies
+        in I exactly when h is zero.
+
+        Local order, infinite quotient: I lies in J = I + <g>.  If the
+        leading ideals of I and J agree, a standard basis of I is one of J,
+        so it generates J and I = J (Greuel & Pfister, *A Singular
+        Introduction to Commutative Algebra*, 1.6-1.7).  So g lies in I
+        exactly when the standard basis of J has the leading monomials of
+        I; both lists are minimal and sorted, hence comparable as tuples.
         """
         key = self.ordering.key()
-        h = g.truncate(cutoff - 1)
-        while not h.is_zero():
-            lm_h = leading_monomial(h, key)
-            hit = None
-            for lm, red in zip(self.leading_monomials, self.generators):
-                if mono_divides(lm, lm_h):
-                    hit = (lm, red)
-                    break
-            if hit is None:
-                break
-            lm, red = hit
-            c = h.terms[lm_h]
-            h = (h - red.term_mul(mono_div(lm_h, lm), c)).truncate(cutoff - 1)
-        return h
-
-    def contains(self, g: Poly) -> bool:
-        """Membership of g in the ideal (extended to the power series ring
-        for the local order).  Falls back from Mora reduction to certified
-        truncation when the quotient is finite-dimensional."""
-        if g.is_zero():
-            return True
-        try:
-            return self.normal_form(g, max_steps=4000).is_zero()
-        except ReductionBudgetExceeded:
-            if not self.ordering.is_local:
-                return self.normal_form(g, max_steps=None).is_zero()
-            report = vdim(self)
-            if report.dimension == INFINITY:
-                return self.normal_form(g, max_steps=None).is_zero()
-            cutoff = int(report.dimension) + 2
-            return self.reduce_truncated(g, cutoff).is_zero()
+        if not self.ordering.is_local:
+            return _reduce(g, self.generators, self.leading_monomials, key).is_zero()
+        cutoff = min_power_containment(self)
+        if cutoff == INFINITY:
+            wider = std_basis(self.generators + (g,), self.ordering)
+            return wider.leading_monomials == self.leading_monomials
+        return _reduce(g, self.generators, self.leading_monomials, key, cutoff).is_zero()
 
 
 def _buchberger(gens: list, key) -> list:
@@ -226,7 +151,7 @@ def _buchberger(gens: list, key) -> list:
         )
         if s.is_zero():
             continue
-        h, _, _ = _normal_form(s, basis, key, allow_stash=False)
+        h = _reduce(s, basis, lms, key)
         if h.is_zero():
             continue
         h = _monic(h, key)
@@ -413,40 +338,6 @@ def min_power_containment(sb: StandardBasis):
     if report.dimension == INFINITY:
         return INFINITY
     return max((sum(m) + 1 for m in report.standard_monomials), default=0)
-
-
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Exact identity unit*g == sum(cofactors[i]*generators[i]); unit(0) != 0."""
-
-    unit: Poly
-    cofactors: tuple
-
-    def verify(self, g: Poly, generators) -> bool:
-        lhs = self.unit * g
-        rhs = g.ring.zero()
-        for c, gen in zip(self.cofactors, generators):
-            rhs = rhs + c * gen
-        return lhs == rhs and bool(self.unit.constant_term())
-
-
-def ideal_membership(g: Poly, sb: StandardBasis, certificate: bool = False):
-    """Membership of g via normal form; optional cofactor certificate.
-
-    The certificate is over sb.generators.  Under a local order the witness
-    identity carries a polynomial unit u with u(0) != 0 (membership in the
-    localization); under a global order the unit is the constant 1.
-    """
-    key = sb.ordering.key()
-    if not certificate:
-        return sb.contains(g), None
-    h, unit, cofs = _normal_form(
-        g, list(sb.generators), key, sb.ordering.is_local, track=True,
-        max_steps=200000,
-    )
-    if not h.is_zero():
-        return False, None
-    return True, MembershipCertificate(unit=unit, cofactors=tuple(cofs))
 
 
 # -- global-order machinery for saturation -------------------------------------

@@ -4,7 +4,6 @@ import json
 import pytest
 
 from possing.cli import run
-from possing.localalg import ReductionBudgetExceeded
 
 
 def invoke(argv):
@@ -202,8 +201,7 @@ class TestDeterminism:
 
 class TestInternalFailures:
     @pytest.mark.parametrize(
-        "exc", [ReductionBudgetExceeded("normal form exceeded 5 steps"),
-                AssertionError("residual escaped the quotient basis")])
+        "exc", [AssertionError("residual escaped the quotient basis")])
     def test_internal_failure_exit_code(self, monkeypatch, exc):
         def fail(f):
             raise exc

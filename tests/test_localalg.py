@@ -5,10 +5,10 @@ from possing.localalg import (
     GLOBAL,
     INFINITY,
     LOCAL,
+    StandardBasis,
     bruteforce_local_dim,
     bruteforce_vdim,
     contains_one,
-    ideal_membership,
     jacobian_ideal_gens,
     milnor,
     min_power_containment,
@@ -104,26 +104,41 @@ class TestMembership:
     def test_euler_formula(self):
         f = P(RQ, "x^3+y^3")
         sb = std_basis(jacobian_ideal_gens(f), LOCAL)
-        member, cert = ideal_membership(f, sb, certificate=True)
-        assert member
-        assert cert.verify(f, sb.generators)
+        assert sb.contains(f)
 
     def test_non_member(self):
         R5 = Ring(5, ("x", "y"))
         f = P(R5, "x^5+y^4")
         sb = std_basis(jacobian_ideal_gens(f), LOCAL)
-        assert not ideal_membership(f, sb)[0]
+        assert not sb.contains(f)
 
     def test_variable_in_maximal_ideal(self):
         sb = std_basis([RQ.var(0), RQ.var(1)], LOCAL)
-        member, cert = ideal_membership(RQ.var(0), sb, certificate=True)
-        assert member and cert.verify(RQ.var(0), sb.generators)
+        assert sb.contains(RQ.var(0))
 
     def test_member_of_infinite_quotient(self):
         sb = std_basis([P(RQ, "y^3")], LOCAL)
         assert vdim(sb).dimension == INFINITY
         assert sb.contains(P(RQ, "y^3+x*y^3"))
         assert not sb.contains(P(RQ, "y^2+x*y^3"))
+        assert not sb.contains(P(RQ, "x^12*y^2"))  # deep in m, not in I
+
+    def test_tail_heavy_member_over_q(self):
+        """f lies in its Jacobian ideal (mu = tau = 2); division stops below
+        the power of m that the ideal contains, however long the tails."""
+        f = P(RQ, "5*x^4*y^5+6*x^5*y^2+y^5+x^3*y+x^3+4*y^2")
+        fx, fy = jacobian_ideal_gens(f)
+        # The partials lead with x^2 and y and the quotient has dimension
+        # 2 = #{1, x}, so they already form a standard basis; std_basis
+        # takes close to a minute to confirm that over Q.
+        assert bruteforce_vdim([fx, fy], 4) == 2
+        sb = StandardBasis(
+            generators=(fy.scale(RQ.cinv(8)), fx.scale(RQ.cinv(3))),
+            ordering=LOCAL,
+            leading_monomials=((0, 1), (2, 0)),
+        )
+        assert sb.contains(f)
+        assert not sb.contains(RQ.var(0) + f)
 
 
 class TestSaturate:
@@ -152,7 +167,7 @@ small_polys = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(chars, small_polys, st.integers(2, 5), st.integers(2, 5))
 def test_vdim_agrees_with_bruteforce(char, terms, a, b):
-    """Mora/Lazard dimensions against the truncated linear-algebra oracle."""
+    """Standard-basis dimensions against the truncated linear-algebra oracle."""
     ring = Ring(char, ("x", "y"))
     f = ring.monomial((a, 0)) + ring.monomial((0, b)) + ring.poly(
         [(m, c) for m, c in terms if sum(m) >= 1]
@@ -228,6 +243,80 @@ sat_polys = st.lists(
     min_size=1,
     max_size=3,
 )
+
+
+def _combination(ring, q_terms, gens):
+    return sum((ring.poly(q) * gen for q, gen in zip(q_terms, gens)), ring.zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 2, 3, 5]),
+    small_polys,
+    st.one_of(st.none(), st.tuples(st.integers(2, 4), st.integers(2, 4))),
+    sat_polys,
+    st.lists(sat_polys, min_size=2, max_size=2),
+)
+def test_contains_agrees_with_truncation(char, terms, powers, g_terms, q_terms):
+    """Membership against truncated dimensions.  With a finite quotient, g
+    lies in I exactly when adding g keeps dim K[[x]]/(I + m^c) at the
+    contained power c.  With an infinite one, combinations of the generators
+    are members, and a difference at some cutoff c <= 11 refutes g."""
+    ring = Ring(char, ("x", "y"))
+    f = ring.poly([(m, c) for m, c in terms if 2 <= sum(m) <= 4])
+    if powers is not None:
+        f = f + ring.monomial((powers[0], 0)) + ring.monomial((0, powers[1]))
+    gens = jacobian_ideal_gens(f)
+    assume(gens)
+    sb = std_basis(gens, LOCAL)
+    g = ring.poly(g_terms)
+    cutoff = min_power_containment(sb)
+    if cutoff != INFINITY:
+        oracle = bruteforce_local_dim(gens + [g], cutoff) == bruteforce_local_dim(gens, cutoff)
+        assert sb.contains(g) == oracle
+        return
+    assert sb.contains(_combination(ring, q_terms, gens))
+    if any(
+        bruteforce_local_dim(gens + [g], c) != bruteforce_local_dim(gens, c)
+        for c in range(1, 12)
+    ):
+        assert not sb.contains(g)
+
+
+def _sympy_expr(p, xs):
+    from sympy import Integer, Rational
+
+    return sum(
+        (Rational(c.numerator, c.denominator) * xs[0] ** a * xs[1] ** b
+         for (a, b), c in p.terms.items()),
+        Integer(0),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 2, 3, 5]),
+    st.lists(sat_polys, min_size=1, max_size=3),
+    sat_polys,
+    st.lists(sat_polys, min_size=3, max_size=3),
+)
+def test_global_basis_agrees_with_sympy(char, gen_terms, g_terms, q_terms):
+    """Degrevlex leading ideals and membership against sympy's groebner."""
+    sympy = pytest.importorskip("sympy")
+    ring = Ring(char, ("x", "y"))
+    gens = [g for g in (ring.poly(terms) for terms in gen_terms) if not g.is_zero()]
+    assume(gens)
+    xs = sympy.symbols("x y")
+    options = {"order": "grevlex"}
+    if char:
+        options["modulus"] = char
+    oracle = sympy.groebner([_sympy_expr(p, xs) for p in gens], *xs, **options)
+    oracle_lms = {sympy.Poly(e, *xs).monoms(order="grevlex")[0] for e in oracle.exprs}
+    sb = std_basis(gens, GLOBAL)
+    assert set(sb.leading_monomials) == oracle_lms
+    g = ring.poly(g_terms)
+    assert sb.contains(g) == oracle.contains(_sympy_expr(g, xs))
+    assert sb.contains(_combination(ring, q_terms, gens))
 
 
 @settings(max_examples=60, deadline=None)
