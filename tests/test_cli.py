@@ -201,7 +201,8 @@ class TestDeterminism:
 
 class TestInternalFailures:
     @pytest.mark.parametrize(
-        "exc", [AssertionError("residual escaped the quotient basis")])
+        "exc", [AssertionError("numeric and membership verdicts disagree"),
+                AssertionError("residual escaped the quotient basis")])
     def test_internal_failure_exit_code(self, monkeypatch, exc):
         def fail(f):
             raise exc
