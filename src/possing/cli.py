@@ -52,6 +52,7 @@ from possing.poly import (
     PolyParseError,
     Ring,
     RingError,
+    _mono_str,
     poly_from_string,
     poly_to_string,
 )
@@ -79,16 +80,6 @@ def _jsonify(value):
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     return value
-
-
-def _mono_str(ring: Ring, m) -> str:
-    parts = []
-    for name, e in zip(ring.names, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append("%s^%d" % (name, e))
-    return "*".join(parts) if parts else "1"
 
 
 def parse_weights(text: str, nvars: int):
@@ -158,7 +149,7 @@ def build_polytope(args, ring: Ring, f) -> tuple:
 
 def _poly_dict(ring: Ring, table: dict) -> dict:
     return {
-        _mono_str(ring, m): _jsonify(c)
+        _mono_str(ring.names, m): _jsonify(c)
         for m, c in sorted(table.items())
     }
 
@@ -211,7 +202,7 @@ def cmd_val(args, ring, f):
     return {
         "value": _jsonify(rep.value),
         "attaining": {
-            _mono_str(ring, m): list(facets) for m, facets in sorted(rep.attaining.items())
+            _mono_str(ring.names, m): list(facets) for m, facets in sorted(rep.attaining.items())
         },
     }, prov
 
@@ -245,7 +236,7 @@ def cmd_regbasis(args, ring, f):
     result = {"status": rb.status, "dimension": _jsonify(rb.dimension)}
     if rb.finite:
         result["basis"] = [
-            {"monomial": _mono_str(ring, m), "valuation": v} for m, v in rb.basis
+            {"monomial": _mono_str(ring.names, m), "valuation": v} for m, v in rb.basis
         ]
         result["max_valuation"] = rb.max_valuation()
     else:
@@ -300,14 +291,14 @@ def cmd_normalform(args, ring, f):
         return {
             "refused": str(exc),
             "witness_ray": list(exc.witness.direction) if exc.witness else None,
-            "generic_truncation": poly_to_string(f.jet(bound)),
+            "generic_truncation": poly_to_string(f.truncate(bound)),
             "generic_bound": bound,
         }, prov
     return {
         "principal_part": poly_to_string(nf.principal_part),
         "normal_form": poly_to_string(nf.polynomial()),
         "coefficients": _poly_dict(ring, nf.tail),
-        "candidates": [_mono_str(ring, m) for m in nf.candidates],
+        "candidates": [_mono_str(ring.names, m) for m in nf.candidates],
         "transformation_steps": len(nf.transformations),
         "transformations": [
             {

@@ -106,7 +106,6 @@ class Face:
     vertices: tuple  # tuples of Fraction
     dimension: int
     weight_indices: frozenset  # facet forms tight on the whole face
-    zero_axes: frozenset  # coordinates identically zero on the face
     inner: bool  # not contained in any coordinate hyperplane
 
 
@@ -206,14 +205,12 @@ def _enumerate_faces(lambdas: list, vertices: list, n: int) -> list:
         tight_w = frozenset(
             j for j in range(facet_count) if all(_dot(lambdas[j], v) == 1 for v in pts)
         )
-        zero_axes = frozenset(i for i in range(n) if all(v[i] == 0 for v in pts))
         faces.append(
             Face(
                 vertices=tuple(tuple(v) for v in pts),
                 dimension=_affine_rank(pts),
                 weight_indices=tight_w,
-                zero_axes=zero_axes,
-                inner=not zero_axes,
+                inner=not any(all(v[i] == 0 for v in pts) for i in range(n)),
             )
         )
     return faces
@@ -277,7 +274,6 @@ class NewtonData:
     support: tuple
     facet_forms: tuple  # (primitive int normal w, value c) per compact facet
     facet_points: tuple  # support points on each facet
-    facet_vertices: tuple  # extreme points of each facet
     vertices: tuple  # diagram vertices (lattice points)
     convenient: bool
     region_below: dict  # segments joining the origin to the diagram (informational)
@@ -293,6 +289,11 @@ def _minimal_points(support: list) -> list:
         if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in support):
             out.append(a)
     return out
+
+
+def _missing_axes(support: list, n: int) -> list:
+    """Axes i with no pure power x_i^k, k > 0, in the support."""
+    return [i for i in range(n) if not any(0 < m[i] == sum(m) for m in support)]
 
 
 def _compact_facets(points: list, n: int) -> list:
@@ -324,56 +325,34 @@ def _compact_facets(points: list, n: int) -> list:
     return [(w, c, tight) for (w, c), tight in sorted(facets.items())]
 
 
-def _extreme_points(points: list, n: int) -> list:
-    """Extreme points of conv(points): drop points expressible by the others."""
-    pts = [tuple(map(Fraction, p)) for p in points]
-    out = []
-    for i, p in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
-        if not _in_convex_hull(p, others, n):
-            out.append(points[i])
-    return out
-
-
-def _in_convex_hull(p, others, n) -> bool:
-    for size in range(1, n + 2):
-        for combo in combinations(others, size):
-            # solve sum t_k q_k = p, sum t_k = 1
-            rows = [[q[i] for q in combo] for i in range(n)] + [[1] * size]
-            sol = _solve_unique(rows, list(p) + [1])
-            if sol is not None and all(t >= 0 for t in sol):
-                return True
-    return False
-
-
 def newton_diagram(f: Poly) -> NewtonData:
-    """Exact Newton polyhedron data of a nonzero polynomial."""
+    """Exact Newton polyhedron data of a nonzero polynomial.
+
+    The vertices of G = conv(supp f) + R^n_+ come by polarity from the
+    vertex set V of D = {w >= 0 : p . w >= 1 for every support point p}:
+
+    1. For x >= 0, x lies in G exactly when w . x >= 1 for all w in D.
+       If x is not in G, some a . x < b <= a . y for all y in G; since
+       G + R^n_+ = G, a >= 0, so b > 0 and w = a / b in D has w . x < 1.
+    2. D lies in the orthant, which is its recession cone, so
+       D = conv(V) + R^n_+ and G = {x >= 0 : v . x >= 1 for v in V}.
+    3. If 0 is in the support, D and V are empty and G's only vertex is 0.
+    """
     if f.is_zero():
         raise PolytopeError("zero polynomial has no Newton diagram")
     n = f.ring.nvars
     support = sorted(f.support(), key=degrevlex_key)
     minimal = _minimal_points(support)
     facets = _compact_facets(minimal, n)
-    facet_forms = tuple((w, c) for w, c, _ in facets)
-    facet_points = tuple(t for _, _, t in facets)
-    facet_vertices = tuple(tuple(_extreme_points(list(t), n)) for t in facet_points)
-    verts = sorted({v for group in facet_vertices for v in group} or set(minimal))
-    convenient = all(
-        any(all(e == 0 for j, e in enumerate(m) if j != i) and m[i] > 0 for m in support)
-        for i in range(n)
-    )
-    region_below = {
-        "origin": [0] * n,
-        "diagram_vertices": [list(v) for v in verts],
-    }
+    dual = _region_vertices(minimal, n)
+    verts = sorted(tuple(int(c) for c in v) for v in _region_vertices(dual, n))
     return NewtonData(
         support=tuple(support),
-        facet_forms=facet_forms,
-        facet_points=facet_points,
-        facet_vertices=facet_vertices,
+        facet_forms=tuple((w, c) for w, c, _ in facets),
+        facet_points=tuple(t for _, _, t in facets),
         vertices=tuple(verts),
-        convenient=convenient,
-        region_below=region_below,
+        convenient=not _missing_axes(support, n),
+        region_below={"origin": [0] * n, "diagram_vertices": [list(v) for v in verts]},
     )
 
 
@@ -402,20 +381,12 @@ def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
         return _build_polytope([lam], n)
     if rule != "extend":
         raise PolytopeError("unknown extension rule %r" % rule)
-    nd = newton_diagram(f)
-    if nd.convenient:
-        lambdas = [[Fraction(wi, c) for wi in w] for w, c in nd.facet_forms]
-        return _build_polytope(lambdas, n)
     support = list(f.support())
-    missing = [
-        i
-        for i in range(n)
-        if not any(m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i) for m in support)
-    ]
+    facets = _compact_facets(_minimal_points(support), n)
     virtual = []
-    for i in missing:
-        if nd.facet_forms:
-            bound = max(Fraction(c, w[i]) for w, c in nd.facet_forms)
+    for i in _missing_axes(support, n):
+        if facets:
+            bound = max(Fraction(c, w[i]) for w, c, _ in facets)
             m_i = int(bound) if bound.denominator == 1 else int(bound) + 1
         else:
             from possing.localalg import tjurina
@@ -426,14 +397,12 @@ def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
                     "no facet to extend and infinite Tjurina number; supply weights explicitly"
                 )
             m_i = 2 * (2 * int(tau) - int(f.order()) + 2)
+        if m_i <= 0:
+            raise PolytopeError("extension failed to produce a convenient diagram")
         virtual.append(tuple(m_i if j == i else 0 for j in range(n)))
-    extended = support + virtual
-    ring = f.ring
-    marker = ring.poly([(m, 1) for m in extended])
-    nd2 = newton_diagram(marker)
-    if not nd2.convenient:
-        raise PolytopeError("extension failed to produce a convenient diagram")
-    lambdas = [[Fraction(wi, c) for wi in w] for w, c in nd2.facet_forms]
+    if virtual:
+        facets = _compact_facets(_minimal_points(support + virtual), n)
+    lambdas = [[Fraction(wi, c) for wi in w] for w, c, _ in facets]
     return _build_polytope(lambdas, n, virtual_points=virtual)
 
 
@@ -492,6 +461,15 @@ def initial_form(P: CPolytope, f: Poly) -> Poly:
     return f.filter_terms(lambda m: P.value(m) == v)
 
 
+def weighted_initial_form(f: Poly, w) -> Poly:
+    """Terms of minimal weighted degree under a single weight vector."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    vals = {m: _dot(w, m) for m in f.terms}
+    low = min(vals.values())
+    return f.filter_terms(lambda m: vals[m] == low)
+
+
 def face_initial_form(P: CPolytope, face: Face, f: Poly) -> Poly:
     """Initial form along a face: minimize the sum of its tight facet forms."""
     if f.is_zero():
@@ -499,9 +477,7 @@ def face_initial_form(P: CPolytope, face: Face, f: Poly) -> Poly:
     if not face.weight_indices:
         raise PolytopeError("face carries no facet form")
     ws = [P.weights[j] for j in sorted(face.weight_indices)]
-    combined = tuple(sum(col) for col in zip(*ws))
-    best = min(_dot(combined, m) for m in f.terms)
-    return f.filter_terms(lambda m: _dot(combined, m) == best)
+    return weighted_initial_form(f, tuple(sum(col) for col in zip(*ws)))
 
 
 def inner_faces(P: CPolytope) -> list:

@@ -32,6 +32,7 @@ from possing.newton import (
     _primitive,
     face_initial_form,
     inner_faces,
+    weighted_initial_form,
 )
 from possing.poly import INFINITY, Poly, Ring
 
@@ -110,15 +111,6 @@ def detect_qh(f: Poly) -> Optional[QHType]:
     return QHType(weights=w, degree=degree)
 
 
-def weighted_initial_form(f: Poly, w) -> Poly:
-    """Terms of minimal weighted degree under a single weight vector."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    vals = {m: sum(a * b for a, b in zip(w, m)) for m in f.terms}
-    low = min(vals.values())
-    return f.filter_terms(lambda m: vals[m] == low)
-
-
 @dataclass(frozen=True)
 class SQHReport:
     """Semi-quasihomogeneity of f along one weight vector."""
@@ -131,9 +123,6 @@ class SQHReport:
     semi: bool
     product_formula: Optional[int] = None  # prod(d/w_i - 1) in right mode
     formula_consistent: Optional[bool] = None
-
-    def expected_milnor(self):
-        return self.principal_invariant if self.mode == "right" else None
 
 
 def sqh_check(f: Poly, w, mode: str) -> SQHReport:

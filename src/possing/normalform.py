@@ -44,6 +44,7 @@ from possing.grading import (
 )
 from possing.localalg import (
     LOCAL,
+    jacobian_ideal_gens,
     milnor,
     min_power_containment,
     std_basis,
@@ -82,10 +83,9 @@ def determinacy_generic(f: Poly, mode: str) -> int:
 
 def _tangent_ideal_gens(f: Poly, mode: str) -> list:
     """Generators of m^2 . jacobian(f), plus m . <f> in contact mode."""
-    ring = f.ring
-    n = ring.nvars
+    n = f.ring.nvars
+    partials = jacobian_ideal_gens(f)
     gens = []
-    partials = [p for p in (f.partial(i) for i in range(n)) if not p.is_zero()]
     for i in range(n):
         for j in range(i, n):
             expo = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(n))

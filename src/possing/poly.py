@@ -194,9 +194,6 @@ class Poly:
         zero = (0,) * self.ring.nvars
         return self.terms.get(zero, self.ring.coeff(0))
 
-    def coefficient(self, expo) -> Coeff:
-        return self.terms.get(tuple(expo), self.ring.coeff(0))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
 
@@ -286,10 +283,6 @@ class Poly:
             else:
                 acc.pop(dm, None)
         return Poly(ring, acc)
-
-    def jet(self, k: int) -> "Poly":
-        """Terms of total degree <= k (the k-jet)."""
-        return self.truncate(k)
 
 
 @dataclass(frozen=True)
@@ -532,23 +525,23 @@ def _coeff_str(c: Coeff) -> str:
     return str(int(c))
 
 
+def _mono_str(names: tuple, m: Mono) -> str:
+    """The monomial x^m in the input grammar, "1" for the unit."""
+    return "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in zip(names, m) if e) or "1"
+
+
 def poly_to_string(f: Poly) -> str:
     if f.is_zero():
         return "0"
-    ring = f.ring
     parts = []
     for m, c in f.sorted_terms():
-        factors = []
-        for name, e in zip(ring.names, m):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append("%s^%d" % (name, e))
         neg = c < 0
         a = -c if neg else c
-        if not factors or a != 1:
-            factors.insert(0, _coeff_str(a))
-        chunk = "*".join(factors)
+        chunk = _mono_str(f.ring.names, m)
+        if chunk == "1":
+            chunk = _coeff_str(a)
+        elif a != 1:
+            chunk = _coeff_str(a) + "*" + chunk
         if not parts:
             parts.append(("-" if neg else "") + chunk)
         else:

@@ -3,10 +3,11 @@
 Each case runs one CLI example with `--json`, drops the wall-clock
 `timing_ms` field and compares the serialized report byte for byte with
 `golden_cli.json`.  Besides the README examples (all but `selftest`) the
-cases cover a three-variable convex-hull search (`newton`), a diagram
-extended by a virtual point (`cpoly`) and two non-quasihomogeneous
-`classify` inputs: one whose weight systems have no one-dimensional
-solution space, and one with a ray of weights that vanishes on an axis.
+cases cover the facets and vertices of a three-variable Newton diagram
+(`newton`), a diagram extended by a virtual point (`cpoly`) and two
+non-quasihomogeneous `classify` inputs: one whose weight systems have no
+one-dimensional solution space, and one with a ray of weights that
+vanishes on an axis.
 A last `conditions` case over F_2 has a witness ray in both modes.
 
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py`, only

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,6 +28,7 @@ from possing.poly import Derivation, Ring, degrevlex_key, poly_from_string
 
 RQ = Ring(0, ("x", "y"))
 R2 = Ring(2, ("x", "y"))
+R3 = Ring(0, ("x", "y", "z"))
 
 
 def P(ring, text):
@@ -59,6 +60,18 @@ class TestNewtonDiagram:
     def test_zero_rejected(self):
         with pytest.raises(PolytopeError):
             newton_diagram(RQ.zero())
+
+    def test_point_above_a_segment_is_no_vertex(self):
+        # (4,3,2) lies above (4,2,3/2), the midpoint of the other two points
+        nd = newton_diagram(P(R3, "x^3*y^4*z^2+x^4*y^3*z^2+x^5*z"))
+        assert not nd.facet_forms
+        assert nd.vertices == ((3, 4, 2), (5, 0, 1))
+
+    def test_vertex_on_no_compact_facet(self):
+        # w = (1,100,1) makes (4,0,4) the unique minimiser
+        nd = newton_diagram(P(R3, "x*y^2*z^2+x^2*y*z+x^2*y^5+x^4*z^4"))
+        assert nd.vertices == ((1, 2, 2), (2, 1, 1), (2, 5, 0), (4, 0, 4))
+        assert all((4, 0, 4) not in pts for pts in nd.facet_points)
 
 
 class TestFromWeights:
@@ -115,9 +128,53 @@ class TestFromPoly:
             Pe, P(RQ, "x^2*y^2")
         )
 
+    def test_extension_without_facet(self):
+        # x*y has no compact facet: M_i = 2 * (2 * tau - ord + 2) = 4
+        Pe = cpolytope_from_poly(P(RQ, "x*y"))
+        assert Pe.virtual_points == ((4, 0), (0, 4))
+        assert Pe.weights == ((1, 3), (3, 1))
+        assert Pe.nscale == 4
+
     def test_rejects_constant(self):
         with pytest.raises(PolytopeError):
             cpolytope_from_poly(P(RQ, "1+x"))
+
+
+def oracle_vertices(support, n):
+    """Minimal points not in conv(other minimal points) + R^n_+.
+
+    By Carathéodory, p is such a combination exactly when at most n+1 of
+    the other minimal points and unit rays write p, lifted to (p, 1), with
+    nonnegative coefficients; a linearly independent choice exists, whose
+    coefficients are then unique.
+    """
+    minimal = [
+        p for p in support
+        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in support)
+    ]
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+    def generated(p):
+        gens = [(q, 1) for q in minimal if q != p] + [(r, 0) for r in rays]
+        for size in range(1, n + 2):
+            for combo in combinations(gens, size):
+                rows = [[g[i] for g, _ in combo] for i in range(n)] + [[t for _, t in combo]]
+                sol = _solve_unique(rows, list(p) + [1])
+                if sol is not None and all(c >= 0 for c in sol):
+                    return True
+        return False
+
+    return tuple(sorted(p for p in minimal if not generated(p)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.sets(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=7)))
+def test_diagram_vertices_match_oracle(support):
+    n = len(next(iter(support)))
+    ring = Ring(0, ("x", "y", "z")[:n])
+    nd = newton_diagram(ring.poly([(m, 1) for m in support]))
+    assert nd.vertices == oracle_vertices(support, n)
 
 
 class TestValuation:
