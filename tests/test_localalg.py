@@ -15,8 +15,11 @@ from possing.localalg import (
     saturate,
     std_basis,
     tjurina,
+    tjurina_ideal_gens,
     vdim,
 )
+from possing.grading import Grading, plain_graded_dims
+from possing.newton import cpolytope_from_weights
 from possing.normalform import _tangent_ideal_gens
 from possing.poly import Poly, Ring, poly_from_string
 
@@ -211,6 +214,44 @@ def test_tau_at_most_mu(char, terms, a, b):
     mu = milnor(f)
     assume(mu != INFINITY)
     assert tjurina(f) <= mu
+
+
+class TestBruteforce:
+    def test_local_dims_by_cutoff(self):
+        gens = [P(RQ, "x^2"), P(RQ, "y^3")]
+        assert [bruteforce_local_dim(gens, c) for c in range(7)] == [0, 1, 3, 5, 6, 6, 6]
+
+    def test_vdim_cap_boundary(self):
+        """dim K[[x,y]]/<x^4, y^6> = 24: reported at cap 24, refused at 23."""
+        gens = [P(RQ, "x^4"), P(RQ, "y^6")]
+        assert bruteforce_vdim(gens, 23) == INFINITY
+        assert bruteforce_vdim(gens, 24) == 24
+
+    def test_vdim_infinite_and_unit(self):
+        assert bruteforce_vdim([P(RQ, "x^4")], 40) == INFINITY
+        assert bruteforce_vdim([P(RQ, "1+x")], 5) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([0, 2, 3, 5]),
+    st.sampled_from([("x", "y"), ("x", "y", "z")]),
+    st.sampled_from([Grading.MILNOR, Grading.TJURINA]),
+    st.integers(0, 8),
+    st.data(),
+)
+def test_bruteforce_dim_sums_degree_graded_dims(char, names, mode, cutoff, data):
+    """dim K[[x]]/(I + m^c) is the sum of the plain graded dimensions of the
+    degree filtration at levels below c, for Jacobian and Tjurina ideals."""
+    ring = Ring(char, names)
+    monos = st.tuples(*[st.integers(0, 4)] * len(names))
+    terms = data.draw(st.lists(st.tuples(monos, st.integers(1, 6)), min_size=1, max_size=4))
+    f = ring.poly([(m, c) for m, c in terms if sum(m) >= 1])
+    gens = jacobian_ideal_gens(f) if mode is Grading.MILNOR else tjurina_ideal_gens(f)
+    assume(gens)
+    P_deg = cpolytope_from_weights([(1,) * len(names)])
+    graded = plain_graded_dims(P_deg, f, mode, cutoff - 1)
+    assert sum(graded) == bruteforce_local_dim(gens, cutoff)
 
 
 @settings(max_examples=60, deadline=None)
