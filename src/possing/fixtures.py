@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, List
 
 from possing.grading import (
@@ -103,7 +104,7 @@ def checks_criterion_2() -> List[CheckResult]:
     _check(out, 2, "valuation of f is 24", vf == 24, "v=%s" % vf)
     rb = regular_basis(P, f, Grading.TJURINA_EXPECTED)
     got = sorted(_mono_str(R.names, m) for m in rb.monomials())
-    want = sorted(s.replace("*", "*") for s in Q10_BASIS)
+    want = sorted(Q10_BASIS)
     _check(out, 2, "regular basis is the 16 listed monomials", got == want,
            "got=%s" % got)
     _check(out, 2, "max basis valuation is 35", rb.max_valuation() == 35,
@@ -673,24 +674,17 @@ CRITERIA = {
 
 
 def run_all(verbose: bool = False, property_cases: int = 40) -> List[CheckResult]:
+    checks = chain(
+        (check for crit in sorted(CRITERIA) for check in CRITERIA[crit]()),
+        (suite(cases=property_cases) for suite in PROPERTY_SUITES),
+    )
     results: List[CheckResult] = []
-    for crit in sorted(CRITERIA):
-        for check in CRITERIA[crit]():
-            results.append(check)
-            if verbose:
-                print(
-                    "[criterion %d] %-64s %s"
-                    % (check.criterion, check.name, "PASS" if check.passed else "FAIL")
-                )
-                if not check.passed and check.detail:
-                    print("    %s" % check.detail)
-    for suite in PROPERTY_SUITES:
-        check = suite(cases=property_cases)
+    for check in checks:
         results.append(check)
         if verbose:
             print(
-                "[criterion 9] %-64s %s"
-                % (check.name, "PASS" if check.passed else "FAIL")
+                "[criterion %d] %-64s %s"
+                % (check.criterion, check.name, "PASS" if check.passed else "FAIL")
             )
             if not check.passed and check.detail:
                 print("    %s" % check.detail)

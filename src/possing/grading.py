@@ -12,9 +12,11 @@ reduction and not by standard bases.
 
 The plain (non-expected) graded algebras of the quotients by the Jacobian
 and Tjurina ideals are computed by a single echelon over all monomials of
-bounded valuation: with columns sorted by valuation, the pivots at level d
-count the image inside that level.  Every echelon, expected or plain, is
-built by `_row_echelon` from (label, product) rows and a column list.
+bounded valuation, `newton._filtered_echelon`: with columns sorted by
+valuation, the pivots at level d count the image inside that level.  The
+echelons come from `newton`: every one, expected or plain, is a sparse
+`newton._Echelon` built by `newton._row_echelon` from (label, product) rows
+and a column list.
 
 Pivots always target the leading monomial in the local order, so surviving
 quotient monomials match the standard-monomial conventions of the rest of
@@ -35,8 +37,11 @@ from possing.localalg import (
 )
 from possing.newton import (
     CPolytope,
+    _filtered_dims,
+    _filtered_echelon,
     _lattice_sweep,
     _primitive,
+    _row_echelon,
     derivation_monomials,
     monomials_of_valuation,
     valuation_poly,
@@ -76,91 +81,6 @@ class ConditionFailure(ValueError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class _Echelon:
-    """Sparse row echelon over the coefficient field with combo tracking.
-
-    Columns are positions into a fixed monomial list (pivot preference
-    order).  Pivot rows are monic at their pivot and support only columns
-    at or after it, so reduction by ascending pivot position terminates.
-    """
-
-    def __init__(self, ring, track: bool):
-        self.ring = ring
-        self.track = track
-        self.pivots: Dict[int, tuple] = {}  # pos -> (row dict, combo dict | None)
-
-    def reduce(self, vec: dict):
-        ring = self.ring
-        vec = dict(vec)
-        used: Dict[object, object] = {}
-        while True:
-            hit = min((pos for pos in vec if pos in self.pivots), default=None)
-            if hit is None:
-                break
-            row, rowcombo = self.pivots[hit]
-            c = vec[hit]
-            for p2, v2 in row.items():
-                nv = ring.cadd(vec.get(p2, ring.coeff(0)), ring.cneg(ring.cmul(c, v2)))
-                if nv:
-                    vec[p2] = nv
-                else:
-                    vec.pop(p2, None)
-            if self.track and rowcombo is not None:
-                for label, cc in rowcombo.items():
-                    nv = ring.cadd(used.get(label, ring.coeff(0)), ring.cmul(c, cc))
-                    if nv:
-                        used[label] = nv
-                    else:
-                        used.pop(label, None)
-        return vec, used
-
-    def add_row(self, vec: dict, label=None) -> bool:
-        """Insert a generator row; returns True when it increased the rank."""
-        ring = self.ring
-        combo = {label: ring.coeff(1)} if (self.track and label is not None) else None
-        red, used = self.reduce(vec)
-        if self.track:
-            # red == vec - sum(used * pivotrows); express red over generators
-            combo = dict(combo or {})
-            for plabel, c in used.items():
-                nv = ring.cadd(combo.get(plabel, ring.coeff(0)), ring.cneg(c))
-                if nv:
-                    combo[plabel] = nv
-                else:
-                    combo.pop(plabel, None)
-        if not red:
-            return False
-        pos = min(red)
-        inv = ring.cinv(red[pos])
-        red = {p: ring.cmul(v, inv) for p, v in red.items()}
-        if self.track:
-            combo = {l: ring.cmul(v, inv) for l, v in combo.items()}
-        self.pivots[pos] = (red, combo)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def _row_echelon(ring, cols: list, rows, track: bool):
-    """Echelon of (label, product) rows restricted to the monomials in cols.
-
-    Column i is cols[i]; terms outside cols are dropped.  Returns the
-    echelon and the labels of the rows with a nonzero restriction
-    (dependent rows included: they still span the image).
-    """
-    index = {m: i for i, m in enumerate(cols)}
-    ech = _Echelon(ring, track)
-    labels = []
-    for label, product in rows:
-        vec = {index[m]: c for m, c in product.terms.items() if m in index}
-        if vec:
-            ech.add_row(vec, label=label)
-            labels.append(label)
-    return ech, labels
 
 
 @dataclass
@@ -302,42 +222,13 @@ def _plain_gens(f: Poly, mode: Grading) -> list:
     raise ValueError("plain mode expected")
 
 
-def _plain_echelon(P: CPolytope, f: Poly, mode: Grading, dmax: int):
-    """Columns, echelon and row labels of the plain image up to valuation dmax.
-
-    Columns are the monomials of valuation <= dmax by level, local-leading
-    first within a level; rows are ("mult", gamma, i) for x^gamma times the
-    i-th ideal generator.  The pivots at level d count the image there.
-    """
-    by_level = {}
-    for m in _lattice_sweep(P, 0, dmax):
-        by_level.setdefault(P.value(m), []).append(m)
-    cols = [
-        m
-        for lvl in sorted(by_level)
-        for m in sorted(by_level[lvl], key=local_key, reverse=True)
-    ]
-    rows = (
-        (("mult", gamma, gi), g.term_mul(gamma, 1))
-        for gi, g in enumerate(_plain_gens(f, mode))
-        for gamma in _lattice_sweep(P, 0, dmax - valuation_poly(P, g))
-    )
-    ech, labels = _row_echelon(f.ring, cols, rows, track=False)
-    return cols, ech, labels
-
-
 def plain_graded_dims(P: CPolytope, f: Poly, mode: Grading, dmax: int) -> list:
     """Piece dimensions of the plain graded algebra for degrees 0..dmax."""
-    cols, ech, _ = _plain_echelon(P, f, mode, dmax)
-    dims = [0] * (dmax + 1)
-    for pos, m in enumerate(cols):
-        if pos not in ech.pivots:
-            dims[P.value(m)] += 1
-    return dims
+    return _filtered_dims(P, f.ring, _plain_gens(f, mode), dmax)
 
 
 def _plain_piece(P: CPolytope, f: Poly, d: int, mode: Grading) -> GradedPieceReport:
-    cols, ech, labels = _plain_echelon(P, f, mode, d)
+    cols, ech, labels = _filtered_echelon(P, f.ring, _plain_gens(f, mode), d)
     level_cols = [m for m in cols if P.value(m) == d]
     pivots = {cols[pos] for pos in ech.pivots}
     survivors = sorted((m for m in level_cols if m not in pivots), key=degrevlex_key)

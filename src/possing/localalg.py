@@ -17,9 +17,11 @@ is used for the graded algebras themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Optional
 
+from possing.newton import _filtered_dims, cpolytope_from_weights
 from possing.poly import (
     INFINITY,
     Mono,
@@ -305,20 +307,6 @@ def tjurina(f: Poly):
     return vdim(std_basis(gens, LOCAL)).dimension
 
 
-def _monomials_of_degree(ring: Ring, d: int):
-    n = ring.nvars
-
-    def rec(i, remaining):
-        if i == n - 1:
-            yield (remaining,)
-            return
-        for e in range(remaining + 1):
-            for rest in rec(i + 1, remaining - e):
-                yield (e,) + rest
-
-    return rec(0, d)
-
-
 def min_power_containment(sb: StandardBasis):
     """Smallest k with m^k inside the ideal; INFINITY if there is none.
 
@@ -400,87 +388,46 @@ def contains_one(gens: list) -> bool:
 # -- brute-force oracle ---------------------------------------------------------
 
 
-def _row_reduce_dim(rows: list, p: int) -> int:
-    """Rank of sparse rows (dicts col->coeff) over F_p or Q (p == 0)."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        r = dict(row)
-        while r:
-            col = min(r)
-            if col not in pivots:
-                inv = pow(r[col], p - 2, p) if p else 1 / r[col]
-                if p:
-                    r = {c: (v * inv) % p for c, v in r.items()}
-                else:
-                    r = {c: v * inv for c, v in r.items()}
-                pivots[col] = r
-                rank += 1
-                break
-            piv = pivots[col]
-            factor = r[col]
-            for c, v in piv.items():
-                if p:
-                    nv = (r.get(c, 0) - factor * v) % p
-                else:
-                    nv = r.get(c, 0) - factor * v
-                if nv:
-                    r[c] = nv
-                else:
-                    r.pop(c, None)
-        # empty row contributes nothing
-    return rank
+@cache
+def _simplex(nvars: int):
+    """The degree polytope: its valuation is the total degree."""
+    return cpolytope_from_weights([(1,) * nvars])
+
+
+def _degree_dims(gens: list, dmax: int) -> list:
+    """Level dimensions 0..dmax of K[[x]]/I under the degree filtration."""
+    ring = gens[0].ring
+    return _filtered_dims(_simplex(ring.nvars), ring, gens, dmax)
 
 
 def bruteforce_local_dim(gens: list, cutoff: int) -> int:
-    """dim_K K[[x]]/(I + m^cutoff) by row-reducing truncated monomial multiples.
-
-    Independent of the standard-basis engine: plain linear algebra over the
-    monomials of degree < cutoff.
-    """
-    ring = gens[0].ring
-    cols = []
-    for d in range(cutoff):
-        cols.extend(sorted(_monomials_of_degree(ring, d), key=degrevlex_key))
-    index = {m: i for i, m in enumerate(cols)}
-    rows = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        base = int(g.order())
-        for d in range(cutoff - base):
-            for gamma in _monomials_of_degree(ring, d):
-                shifted = g.term_mul(gamma, 1)
-                row = {
-                    index[m]: c
-                    for m, c in shifted.terms.items()
-                    if sum(m) < cutoff
-                }
-                if row:
-                    rows.append(row)
-    if ring.char == 0:
-        from fractions import Fraction
-
-        rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
-    rank = _row_reduce_dim(rows, ring.char)
-    return len(cols) - rank
+    """dim_K K[[x]]/(I + m^cutoff), summed over the degree levels below cutoff
+    of one truncated echelon: plain linear algebra, no standard bases."""
+    return sum(_degree_dims(gens, cutoff - 1))
 
 
 def bruteforce_vdim(gens: list, cap: int):
-    """Quotient dimension by truncation until stabilization; INFINITY past cap.
+    """Quotient dimension read off truncated echelons; INFINITY past cap.
 
-    Stabilization dim(I + m^D) == dim(I + m^(D+1)) is exact for complete
-    local rings, so a stabilized value is the true dimension.
+    An echelon truncated below degree D gives dims[d] = dim (I + m^d)/(I +
+    m^(d+1)) for every d < D, and the count dims[0] + ... + dims[d-1] is
+    dim K[[x]]/(I + m^d), a lower bound for dim K[[x]]/I; a count past cap
+    gives INFINITY.  At the first d with dims[d] == 0, m^d lies in
+    I + m^(d+1) = I + m * m^d, so m^d lies in I by Nakayama and the count
+    below d is exact.  Until then each degree adds at least 1, so when all
+    of dims[0..D-1] are nonzero and the count is still at most cap, the
+    truncation min(2D, D + cap + 1 - count) reaches a decision or grows again.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return INFINITY
-    prev = None
-    for cutoff in range(1, cap + 2):
-        cur = bruteforce_local_dim(gens, cutoff)
-        if prev is not None and cur == prev:
-            return cur
-        if cur > cap:
-            return INFINITY
-        prev = cur
-    return INFINITY
+    top = 2
+    while True:
+        count = 0
+        for dim in _degree_dims(gens, top - 1):
+            if not dim:
+                return count
+            count += dim
+            if count > cap:
+                return INFINITY
+        top = min(2 * top, top + cap + 1 - count)

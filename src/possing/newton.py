@@ -24,6 +24,7 @@ from possing.poly import (
     Mono,
     Poly,
     degrevlex_key,
+    local_key,
 )
 
 
@@ -59,6 +60,91 @@ def _rref(rows: list, ncols: int) -> tuple:
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
         pivots.append(col)
     return mat, pivots
+
+
+class _Echelon:
+    """Sparse row echelon over the coefficient field with combo tracking.
+
+    Columns are positions into a fixed monomial list (pivot preference
+    order).  Pivot rows are monic at their pivot and support only columns
+    at or after it, so reduction by ascending pivot position terminates.
+    """
+
+    def __init__(self, ring, track: bool):
+        self.ring = ring
+        self.track = track
+        self.pivots: dict = {}  # pos -> (row dict, combo dict | None)
+
+    def reduce(self, vec: dict):
+        ring = self.ring
+        vec = dict(vec)
+        used: dict = {}
+        while True:
+            hit = min((pos for pos in vec if pos in self.pivots), default=None)
+            if hit is None:
+                break
+            row, rowcombo = self.pivots[hit]
+            c = vec[hit]
+            for p2, v2 in row.items():
+                nv = ring.cadd(vec.get(p2, ring.coeff(0)), ring.cneg(ring.cmul(c, v2)))
+                if nv:
+                    vec[p2] = nv
+                else:
+                    vec.pop(p2, None)
+            if self.track and rowcombo is not None:
+                for label, cc in rowcombo.items():
+                    nv = ring.cadd(used.get(label, ring.coeff(0)), ring.cmul(c, cc))
+                    if nv:
+                        used[label] = nv
+                    else:
+                        used.pop(label, None)
+        return vec, used
+
+    def add_row(self, vec: dict, label=None) -> bool:
+        """Insert a generator row; returns True when it increased the rank."""
+        ring = self.ring
+        combo = {label: ring.coeff(1)} if (self.track and label is not None) else None
+        red, used = self.reduce(vec)
+        if self.track:
+            # red == vec - sum(used * pivotrows); express red over generators
+            combo = dict(combo or {})
+            for plabel, c in used.items():
+                nv = ring.cadd(combo.get(plabel, ring.coeff(0)), ring.cneg(c))
+                if nv:
+                    combo[plabel] = nv
+                else:
+                    combo.pop(plabel, None)
+        if not red:
+            return False
+        pos = min(red)
+        inv = ring.cinv(red[pos])
+        red = {p: ring.cmul(v, inv) for p, v in red.items()}
+        if self.track:
+            combo = {l: ring.cmul(v, inv) for l, v in combo.items()}
+        self.pivots[pos] = (red, combo)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def _row_echelon(ring, cols: list, rows, track: bool):
+    """Echelon of (label, product) rows restricted to the monomials in cols.
+
+    Column i is cols[i]; terms outside cols are dropped.  Returns the
+    echelon and the labels of the rows with a nonzero restriction
+    (dependent rows included: they still span the image).
+    """
+    index = {m: i for i, m in enumerate(cols)}
+    ech = _Echelon(ring, track)
+    labels = []
+    for label, product in rows:
+        vec = {index[m]: c for m, c in product.terms.items() if m in index}
+        if vec:
+            ech.add_row(vec, label=label)
+            labels.append(label)
+    return ech, labels
 
 
 def _nullspace(rows: list, n: int) -> list:
@@ -383,20 +469,23 @@ def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
         raise PolytopeError("unknown extension rule %r" % rule)
     support = list(f.support())
     facets = _compact_facets(_minimal_points(support), n)
+    missing = _missing_axes(support, n)
+    if missing and not facets:
+        from possing.localalg import tjurina
+
+        tau = tjurina(f)
+        if tau == INFINITY:
+            raise PolytopeError(
+                "no facet to extend and infinite Tjurina number; supply weights explicitly"
+            )
+        fallback = 2 * (2 * int(tau) - int(f.order()) + 2)
     virtual = []
-    for i in _missing_axes(support, n):
+    for i in missing:
         if facets:
             bound = max(Fraction(c, w[i]) for w, c, _ in facets)
             m_i = int(bound) if bound.denominator == 1 else int(bound) + 1
         else:
-            from possing.localalg import tjurina
-
-            tau = tjurina(f)
-            if tau == INFINITY:
-                raise PolytopeError(
-                    "no facet to extend and infinite Tjurina number; supply weights explicitly"
-                )
-            m_i = 2 * (2 * int(tau) - int(f.order()) + 2)
+            m_i = fallback
         if m_i <= 0:
             raise PolytopeError("extension failed to produce a convenient diagram")
         virtual.append(tuple(m_i if j == i else 0 for j in range(n)))
@@ -536,3 +625,46 @@ def derivation_monomials(P: CPolytope, axis: int, t: int) -> list:
     """Exponents beta with the derivation x^beta d/dx_axis of valuation t."""
     shifts = [w[axis] for w in P.weights]
     return lattice_points_shifted(P, shifts, t)
+
+
+# -- filtered echelons -----------------------------------------------------------
+
+
+def _filtered_echelon(P: CPolytope, ring, gens: list, dmax: int):
+    """Columns, echelon and row labels of the ideal's image up to valuation dmax.
+
+    Columns are the monomials of valuation <= dmax by level, local-leading
+    first within a level; rows are ("mult", gamma, i) for x^gamma times the
+    i-th generator (none for a zero one, of valuation INFINITY).  Pivots sit
+    at a row's lowest column, so the pivots below level c count the rows'
+    image modulo F_c, the span of the monomials of valuation >= c; for
+    c <= dmax + 1 that image is (I + F_c)/F_c, as v(x^gamma g) >= v(x^gamma) + v(g).
+    """
+    by_level = {}
+    for m in _lattice_sweep(P, 0, dmax):
+        by_level.setdefault(P.value(m), []).append(m)
+    cols = [
+        m
+        for lvl in sorted(by_level)
+        for m in sorted(by_level[lvl], key=local_key, reverse=True)
+    ]
+    rows = (
+        (("mult", gamma, gi), g.term_mul(gamma, 1))
+        for gi, g in enumerate(gens)
+        for gamma in _lattice_sweep(P, 0, dmax - valuation_poly(P, g))
+    )
+    ech, labels = _row_echelon(ring, cols, rows, track=False)
+    return cols, ech, labels
+
+
+def _filtered_dims(P: CPolytope, ring, gens: list, dmax: int) -> list:
+    """dims[d] = dim (I + F_d)/(I + F_(d+1)) for d = 0..dmax, one elimination.
+
+    The dims below level c sum to dim K[[x]]/(I + F_c) for every c <= dmax + 1.
+    """
+    cols, ech, _ = _filtered_echelon(P, ring, gens, dmax)
+    dims = [0] * (dmax + 1)
+    for pos, m in enumerate(cols):
+        if pos not in ech.pivots:
+            dims[P.value(m)] += 1
+    return dims

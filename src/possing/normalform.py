@@ -38,7 +38,6 @@ from possing.grading import (
     ConditionFailure,
     GradedAlgebra,
     RegularBasisResult,
-    _row_echelon,
     expected_grading,
     regular_basis,
 )
@@ -50,7 +49,7 @@ from possing.localalg import (
     std_basis,
     tjurina,
 )
-from possing.newton import CPolytope, initial_form, valuation_poly
+from possing.newton import CPolytope, _row_echelon, initial_form, valuation_poly
 from possing.poly import (
     INFINITY,
     Automorphism,

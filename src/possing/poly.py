@@ -37,10 +37,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -1,11 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level function or class of the package goes unused."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "possing").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "possing").glob("*.py"))
+# trees whose code may load a definition of the package
+LOADING_DIRS = ("src", "tests", "scripts", "perfbench")
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +45,49 @@ def test_no_unused_imports(path):
 def test_detector_flags_unused_and_honours_all():
     source = "import os\nfrom typing import List, Optional\n__all__ = ['List']\n"
     assert unused_imports(source) == [(1, "os"), (2, "Optional")]
+
+
+def loaded_names(source: str, strings: bool = False) -> set:
+    """Names and attributes the source loads, plus its string constants
+    when strings is set (so `__all__` entries count as uses)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def module_definitions(source: str) -> list:
+    """(line, name) of the functions and classes defined at module level."""
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+@functools.cache
+def used_names() -> frozenset:
+    """Loads in every tree that may use the package; strings only in `src`."""
+    return frozenset().union(*(
+        loaded_names(path.read_text(), strings=top == "src")
+        for top in LOADING_DIRS
+        for path in (ROOT / top).rglob("*.py")
+    ))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_definitions(path):
+    used = used_names()
+    assert [d for d in module_definitions(path.read_text()) if d[1] not in used] == []
+
+
+def test_definition_detector_counts_loads_and_strings():
+    source = "def f(): pass\ndef g(): return f()\nclass C: pass\n__all__ = ['C']\n"
+    defined = module_definitions(source)
+    assert [d for d in defined if d[1] not in loaded_names(source)] == [(2, "g"), (3, "C")]
+    assert [d for d in defined if d[1] not in loaded_names(source, strings=True)] == [(2, "g")]

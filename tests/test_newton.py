@@ -4,9 +4,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from possing.localalg import _row_reduce_dim
 from possing.newton import (
     CPolytope,
+    _Echelon,
     _lattice_sweep,
     _nullspace,
     _rref,
@@ -131,6 +131,23 @@ class TestFromPoly:
     def test_extension_without_facet(self):
         # x*y has no compact facet: M_i = 2 * (2 * tau - ord + 2) = 4
         Pe = cpolytope_from_poly(P(RQ, "x*y"))
+        assert Pe.virtual_points == ((4, 0), (0, 4))
+        assert Pe.weights == ((1, 3), (3, 1))
+        assert Pe.nscale == 4
+
+    def test_extension_without_facet_computes_tau_once(self, monkeypatch):
+        import possing.localalg
+
+        calls = []
+        tjurina = possing.localalg.tjurina
+
+        def counted(f):
+            calls.append(f)
+            return tjurina(f)
+
+        monkeypatch.setattr(possing.localalg, "tjurina", counted)
+        Pe = cpolytope_from_poly(P(RQ, "x*y"))
+        assert len(calls) == 1
         assert Pe.virtual_points == ((4, 0), (0, 4))
         assert Pe.weights == ((1, 3), (3, 1))
         assert Pe.nscale == 4
@@ -322,9 +339,12 @@ def test_monomials_of_valuation_complete(ws, d, data):
 
 
 def exact_rank(rows) -> int:
-    return _row_reduce_dim(
-        [{c: Fraction(v) for c, v in enumerate(row) if v} for row in rows], 0
-    )
+    """Rank by the sparse echelon, so the dense and sparse eliminations
+    check each other."""
+    ech = _Echelon(RQ, track=False)
+    for row in rows:
+        ech.add_row({c: Fraction(v) for c, v in enumerate(row) if v})
+    return ech.rank
 
 
 small_matrices = st.integers(1, 4).flatmap(
