@@ -175,7 +175,6 @@ def cmd_newton(args, ring, f):
         ],
         "vertices": [list(v) for v in nd.vertices],
         "convenient": nd.convenient,
-        "region_below": _jsonify(nd.region_below),
     }, {}
 
 

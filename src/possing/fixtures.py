@@ -1,17 +1,25 @@
 """Built-in verification fixtures.
 
 Each criterion function returns a list of CheckResult; run_all drives them
-and is shared by the CLI selftest and the pytest acceptance module.  The
-randomized property suites take an explicit case count so the selftest can
-run a reduced sampling while the test suite runs the full size.
+and is shared by the CLI selftest and the pytest acceptance module.
+
+The randomized property suites of criterion 9 run through one driver,
+_property: a suite states its property once, as a trial on a seeded
+generator, and the driver counts the draws and stops at the first failure.
+A suite takes its case count, so the selftest runs a reduced sampling
+(SELFTEST_CASES) while the test suite runs the full size.  Only a named
+refusal (PolytopeError, NormalFormRefusal) skips a draw; any other error
+propagates.  The two normal-form suites draw from one pool of principal
+parts, built once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, List
 
 from possing.grading import (
@@ -30,6 +38,7 @@ from possing.localalg import (
 )
 from possing.newton import (
     CPolytope,
+    PolytopeError,
     cpolytope_from_poly,
     cpolytope_from_weights,
     initial_form,
@@ -162,12 +171,8 @@ def _tpq(p: int, q: int, char: int) -> Poly:
 
 
 def _expected_tau(p, q, char):
-    if char == 0:
-        return p + q
-    if (p * q - 2 * (p + q)) % char == 0:
+    if char and (p * q - 2 * (p + q)) % char == 0:
         return p + q + 1
-    if p % char == 0 or q % char == 0:
-        return p + q
     return p + q
 
 
@@ -221,7 +226,7 @@ def checks_criterion_4() -> List[CheckResult]:
 # -- criterion 5: the product formula ----------------------------------------------
 
 
-def checks_criterion_5(cases: int = 20) -> List[CheckResult]:
+def checks_criterion_5() -> List[CheckResult]:
     out: list = []
     R = Ring(0, ("x", "y", "z"))
     f = poly_from_string(R, "x^2*z+y^3+z^4")
@@ -242,7 +247,8 @@ def checks_criterion_5(cases: int = 20) -> List[CheckResult]:
         if sum(x * y for x, y in zip(w, m)) > 24 and 0 < sum(m) <= 6
     ]
     failures = []
-    for i in range(cases):
+    cases = 20
+    for _ in range(cases):
         pert = R.zero()
         for m in rng.sample(candidates, rng.randrange(1, 4)):
             pert = pert + R.monomial(m, rng.randrange(1, 5))
@@ -349,15 +355,31 @@ def checks_criterion_8() -> List[CheckResult]:
 # -- criterion 9: randomized property suites ----------------------------------------
 
 
+def _property(seed: int, cases: int, title: str, trial: Callable) -> CheckResult:
+    """Run trial(rng) on one seeded generator until `cases` draws have counted.
+
+    A trial returns None for a draw that does not count, "" for a pass, and
+    otherwise the failure detail, which ends the run.
+    """
+    rng = random.Random(seed)
+    done, bad = 0, ""
+    while done < cases and not bad:
+        detail = trial(rng)
+        if detail is not None:
+            done += 1
+            bad = detail
+    return CheckResult(9, "%s (%d cases)" % (title, done), not bad, bad)
+
+
+def _random_ring(rng) -> Ring:
+    return _ring(rng.choice([2, 3, 5, 7]))
+
+
 def _random_weights(rng) -> CPolytope:
     k = rng.choice([1, 1, 2])
-    ws = []
-    for _ in range(k):
-        ws.append((Fraction(rng.randrange(1, 5)), Fraction(rng.randrange(1, 5))))
-    try:
-        return cpolytope_from_weights(ws)
-    except Exception:
-        return cpolytope_from_weights([(1, 1)])
+    return cpolytope_from_weights(
+        [(Fraction(rng.randrange(1, 5)), Fraction(rng.randrange(1, 5))) for _ in range(k)]
+    )
 
 
 def _random_poly(rng, ring: Ring, maxdeg: int = 6, terms: int = 4) -> Poly:
@@ -381,102 +403,85 @@ def _random_convenient(rng, ring: Ring, maxdeg: int = 6) -> Poly:
 
 def suite_valuation_subadditivity(cases: int = 200) -> CheckResult:
     """v(fg) >= v(f)+v(g) with equality iff a common facet attains both."""
-    rng = random.Random(901)
-    bad = None
-    done = 0
-    while done < cases:
-        char = rng.choice([2, 3, 5, 7])
-        ring = _ring(char)
+
+    def trial(rng):
+        ring = _random_ring(rng)
         P = _random_weights(rng)
         f = _random_poly(rng, ring)
         g = _random_poly(rng, ring)
         if f.is_zero() or g.is_zero():
-            continue
-        done += 1
+            return None
         vf, vg, vfg = valuation_poly(P, f), valuation_poly(P, g), valuation_poly(P, f * g)
         if vfg < vf + vg:
-            bad = "subadditivity: %s, %s" % (poly_to_string(f), poly_to_string(g))
-            break
+            return "subadditivity: %s, %s" % (poly_to_string(f), poly_to_string(g))
         att_f = {j for m in f.terms if P.value(m) == vf for j in P.attaining(m)}
         att_g = {j for m in g.terms if P.value(m) == vg for j in P.attaining(m)}
         equality = vfg == vf + vg
         criterion = bool(att_f & att_g)
         if equality != criterion:
-            bad = "facet criterion: %s | %s (eq=%s crit=%s)" % (
+            return "facet criterion: %s | %s (eq=%s crit=%s)" % (
                 poly_to_string(f), poly_to_string(g), equality, criterion)
-            break
-    return CheckResult(9, "valuation subadditivity and facet criterion (%d cases)" % done,
-                       bad is None, bad or "")
+        return ""
+
+    return _property(901, cases, "valuation subadditivity and facet criterion", trial)
 
 
 def suite_plain_dims_match_tjurina(cases: int = 200) -> CheckResult:
     """Total plain graded dimension equals the Tjurina number."""
-    rng = random.Random(902)
-    bad = None
-    done = 0
-    while done < cases:
-        char = rng.choice([2, 3, 5, 7])
-        ring = _ring(char)
+
+    def trial(rng):
+        ring = _random_ring(rng)
         f = _random_convenient(rng, ring, maxdeg=5)
         tau = tjurina(f)
         if tau == INFINITY or tau > 14:
-            continue
+            return None
         P = _random_weights(rng)
-        done += 1
         dmax = int(tau) * max(P.value((1, 0)), P.value((0, 1))) + 1
         dims = plain_graded_dims(P, f, Grading.TJURINA, dmax)
         if sum(dims) != tau:
-            bad = "%s char %d: sum=%s tau=%s" % (
-                poly_to_string(f), char, sum(dims), tau)
-            break
-    return CheckResult(9, "plain graded dimension equals Tjurina number (%d cases)" % done,
-                       bad is None, bad or "")
+            return "%s char %d: sum=%s tau=%s" % (
+                poly_to_string(f), ring.char, sum(dims), tau)
+        return ""
+
+    return _property(902, cases, "plain graded dimension equals Tjurina number", trial)
 
 
 def suite_tail_invariance(cases: int = 200) -> CheckResult:
     """Graded pieces only depend on the initial form (higher tails drop out)."""
-    rng = random.Random(903)
-    bad = None
-    done = 0
-    while done < cases:
-        char = rng.choice([2, 3, 5, 7])
-        ring = _ring(char)
+
+    def trial(rng):
+        ring = _random_ring(rng)
         f = _random_convenient(rng, ring, maxdeg=5)
         try:
             P = cpolytope_from_poly(f)
-        except Exception:
-            continue
+        except PolytopeError:
+            return None
         fP = initial_form(P, f)
         vf = valuation_poly(P, fP)
         tail = _random_poly(rng, ring, maxdeg=6, terms=2)
         tail = tail.filter_terms(lambda m: P.value(m) > vf)
         if tail.is_zero():
-            continue
-        done += 1
+            return None
         mode = rng.choice([Grading.MILNOR_EXPECTED, Grading.TJURINA_EXPECTED])
         a1 = GradedAlgebra(P, fP, mode)
         a2 = GradedAlgebra(P, fP + tail, mode)
         for d in sorted(rng.sample(range(0, 3 * vf + 1), 5)):
             if a1.piece(d).quotient_basis != a2.piece(d).quotient_basis:
-                bad = "%s + %s char %d at degree %d" % (
-                    poly_to_string(fP), poly_to_string(tail), char, d)
-                break
-        if bad:
-            break
-    return CheckResult(9, "graded pieces unchanged by higher-valuation tails (%d cases)" % done,
-                       bad is None, bad or "")
+                return "%s + %s char %d at degree %d" % (
+                    poly_to_string(fP), poly_to_string(tail), ring.char, d)
+        return ""
+
+    return _property(903, cases, "graded pieces unchanged by higher-valuation tails", trial)
 
 
 def suite_quasihomogeneous_mu_tau(cases: int = 200) -> CheckResult:
-    """For quasihomogeneous f of order >= 3 with gcd(w)=1: finite Milnor number
-    iff finite Tjurina number and characteristic not dividing the degree; then
-    the numbers agree."""
-    rng = random.Random(904)
-    bad = None
-    done = 0
-    while done < cases:
-        char = rng.choice([2, 3, 5, 7])
-        ring = _ring(char)
+    """For quasihomogeneous f of order >= 3 (detected weights have gcd 1):
+    finite Milnor number iff finite Tjurina number and characteristic not
+    dividing the degree; then the numbers agree."""
+
+    def trial(rng):
+        ring = _random_ring(rng)
+        char = ring.char
         w = (rng.randrange(1, 4), rng.randrange(1, 4))
         d = rng.randrange(6, 13)
         monos = [
@@ -485,169 +490,119 @@ def suite_quasihomogeneous_mu_tau(cases: int = 200) -> CheckResult:
             for b in range(0, d + 1)
             if a * w[0] + b * w[1] == d and a + b >= 3
         ]
-        if not monos:
-            continue
         acc = [(m, rng.randrange(1, char)) for m in monos if rng.random() < 0.7]
-        if not acc:
-            continue
         f = ring.poly(acc)
-        if f.is_zero():
-            continue
-        qh = detect_qh(f)
+        qh = None if f.is_zero() else detect_qh(f)
         if qh is None:
-            continue
-        from math import gcd
-
-        g = 0
-        for wi in qh.weights:
-            g = gcd(g, wi)
-        if g != 1:
-            continue
-        done += 1
+            return None
         mu, tau = milnor(f), tjurina(f)
         divides = qh.degree % char == 0
         lhs = mu != INFINITY
         rhs = tau != INFINITY and not divides
         if lhs != rhs or (lhs and mu != tau):
-            bad = "%s char %d: mu=%s tau=%s char|d=%s" % (
+            return "%s char %d: mu=%s tau=%s char|d=%s" % (
                 poly_to_string(f), char, mu, tau, divides)
-            break
-    return CheckResult(9, "quasihomogeneous Milnor/Tjurina dichotomy (%d cases)" % done,
-                       bad is None, bad or "")
+        return ""
+
+    return _property(904, cases, "quasihomogeneous Milnor/Tjurina dichotomy", trial)
 
 
 def suite_innd_implies_finiteness(cases: int = 200) -> CheckResult:
     """Inner non-degenerate implies both graded finiteness conditions and
     tau <= mu < infinity."""
-    rng = random.Random(905)
-    bad = None
-    done = 0
-    while done < cases:
-        char = rng.choice([2, 3, 5, 7])
-        ring = _ring(char)
+
+    def trial(rng):
+        ring = _random_ring(rng)
         f = _random_convenient(rng, ring, maxdeg=5)
         try:
             P = cpolytope_from_poly(f)
-        except Exception:
-            continue
-        rep = innd_check(f, P)
-        if not rep.nondegenerate:
-            continue
-        done += 1
+        except PolytopeError:
+            return None
+        if not innd_check(f, P).nondegenerate:
+            return None
         mu, tau = milnor(f), tjurina(f)
         right = check_condition(P, f, "right", strict=False)
         contact = check_condition(P, f, "contact", strict=False)
-        ok = (
-            right.holds
-            and contact.holds
-            and mu != INFINITY
-            and tau != INFINITY
-            and tau <= mu
-        )
-        if not ok:
-            bad = "%s char %d: mu=%s tau=%s right=%s contact=%s" % (
-                poly_to_string(f), char, mu, tau, right.holds, contact.holds)
-            break
-    return CheckResult(
-        9,
-        "inner non-degeneracy forces graded finiteness and tau <= mu (%d cases)" % done,
-        bad is None,
-        bad or "",
-    )
+        if right.holds and contact.holds and tau <= mu < INFINITY:
+            return ""
+        return "%s char %d: mu=%s tau=%s right=%s contact=%s" % (
+            poly_to_string(f), ring.char, mu, tau, right.holds, contact.holds)
+
+    return _property(
+        905, cases, "inner non-degeneracy forces graded finiteness and tau <= mu", trial)
 
 
-def _normal_form_pool(count: int):
-    """Principal parts with finite contact graded algebra, with their data."""
-    pool = []
+@functools.cache
+def _normal_form_pool() -> tuple:
+    """The first 24 principal parts x^a + x^c*y^d + y^b over F_2, F_3, F_5, F_7
+    with finite contact graded algebra, with their polytope and regular basis.
+    Built once per process and shared by the normal-form suites."""
     shapes = [
         (4, 5, 2, 2), (5, 6, 2, 2), (3, 4, 1, 2), (4, 4, 1, 2),
         (5, 4, 2, 1), (6, 5, 2, 2), (4, 6, 2, 2), (5, 5, 2, 2),
     ]
-    for char in (2, 3, 5, 7):
-        for (a, b, c, d) in shapes:
+
+    def members():
+        for char in (2, 3, 5, 7):
             ring = _ring(char)
-            f = ring.poly([((a, 0), 1), ((c, d), 1), ((0, b), 1)])
-            try:
+            for (a, b, c, d) in shapes:
+                f = ring.poly([((a, 0), 1), ((c, d), 1), ((0, b), 1)])
                 P = cpolytope_from_poly(f)
-                fP = initial_form(P, f)
-                if fP != f:
+                if initial_form(P, f) != f:
                     continue
                 rb = regular_basis(P, f, Grading.TJURINA_EXPECTED)
-            except Exception:
-                continue
-            if not rb.finite:
-                continue
-            pool.append((ring, f, P, rb))
-            if len(pool) >= count:
-                return pool
-    return pool
+                if rb.finite:
+                    yield ring, f, P, rb
+
+    return tuple(islice(members(), 24))
+
+
+def _perturbed_pool_member(rng):
+    """A pool member (ring, P, rb) and its principal part plus a random tail
+    of higher valuation."""
+    ring, f, P, rb = rng.choice(_normal_form_pool())
+    vf = valuation_poly(P, f)
+    pert = _random_poly(rng, ring, maxdeg=7, terms=2)
+    return ring, P, rb, f + pert.filter_terms(lambda m: P.value(m) > vf)
 
 
 def suite_normal_form_tjurina(cases: int = 200) -> CheckResult:
     """Contact normal forms preserve the Tjurina number and replay exactly."""
-    rng = random.Random(906)
-    pool = _normal_form_pool(24)
-    bad = None
-    done = 0
-    while done < cases and pool:
-        ring, f, P, rb = pool[rng.randrange(len(pool))]
-        vf = valuation_poly(P, f)
-        pert = _random_poly(rng, ring, maxdeg=7, terms=2)
-        pert = pert.filter_terms(lambda m: P.value(m) > vf)
-        g = f + pert
-        done += 1
+
+    def trial(rng):
+        ring, P, _, g = _perturbed_pool_member(rng)
         try:
             nf = normal_form(P, g, "contact")
         except NormalFormRefusal:
-            done -= 1
-            continue
+            return None
         if tjurina(nf.polynomial()) != tjurina(g):
-            bad = "tau changed: %s char %d" % (poly_to_string(g), ring.char)
-            break
+            return "tau changed: %s char %d" % (poly_to_string(g), ring.char)
         if not replay_matches(P, g, nf):
-            bad = "replay mismatch: %s char %d" % (poly_to_string(g), ring.char)
-            break
-    return CheckResult(
-        9,
-        "normal forms preserve Tjurina number and replay (%d cases)" % done,
-        bad is None,
-        bad or "",
-    )
+            return "replay mismatch: %s char %d" % (poly_to_string(g), ring.char)
+        return ""
+
+    return _property(906, cases, "normal forms preserve Tjurina number and replay", trial)
 
 
 def suite_truncation_stability(cases: int = 200) -> CheckResult:
     """Truncating past the filtered determinacy bound never changes the tail."""
-    rng = random.Random(907)
-    pool = _normal_form_pool(24)
-    bad = None
-    done = 0
-    while done < cases and pool:
-        ring, f, P, rb = pool[rng.randrange(len(pool))]
-        vf = valuation_poly(P, f)
-        pert = _random_poly(rng, ring, maxdeg=7, terms=2)
-        pert = pert.filter_terms(lambda m: P.value(m) > vf)
-        g = f + pert
-        det = determinacy_filtered(P, g, rb, "contact")
-        k = det.filtered_bound
-        done += 1
+
+    def trial(rng):
+        ring, P, rb, g = _perturbed_pool_member(rng)
+        k = determinacy_filtered(P, g, rb, "contact").filtered_bound
         try:
             base = normal_form(P, g, "contact")
             cut = normal_form(P, g.truncate(k), "contact")
             cut2 = normal_form(P, g.truncate(k + 2), "contact")
         except NormalFormRefusal:
-            done -= 1
-            continue
+            return None
         if base.tail != cut.tail or base.tail != cut2.tail:
-            bad = "%s char %d (k=%s): %s vs %s vs %s" % (
-                poly_to_string(g), ring.char, k,
-                base.tail, cut.tail, cut2.tail)
-            break
-    return CheckResult(
-        9,
-        "tail stable under truncation at the determinacy bound (%d cases)" % done,
-        bad is None,
-        bad or "",
-    )
+            return "%s char %d (k=%s): %s vs %s vs %s" % (
+                poly_to_string(g), ring.char, k, base.tail, cut.tail, cut2.tail)
+        return ""
+
+    return _property(
+        907, cases, "tail stable under truncation at the determinacy bound", trial)
 
 
 PROPERTY_SUITES: List[Callable] = [
@@ -673,10 +628,13 @@ CRITERIA = {
 }
 
 
-def run_all(verbose: bool = False, property_cases: int = 40) -> List[CheckResult]:
+SELFTEST_CASES = 40  # draws per property suite in run_all
+
+
+def run_all(verbose: bool = False) -> List[CheckResult]:
     checks = chain(
         (check for crit in sorted(CRITERIA) for check in CRITERIA[crit]()),
-        (suite(cases=property_cases) for suite in PROPERTY_SUITES),
+        (suite(cases=SELFTEST_CASES) for suite in PROPERTY_SUITES),
     )
     results: List[CheckResult] = []
     for check in checks:

@@ -157,7 +157,7 @@ class GradedAlgebra:
         return GradedPieceReport(
             mode=self.mode,
             degree=d,
-            ambient=tuple(sorted(ambient, key=degrevlex_key)),
+            ambient=tuple(ambient),
             image_labels=tuple(labels),
             rank=ech.rank,
             quotient_basis=tuple(survivors),

@@ -362,7 +362,6 @@ class NewtonData:
     facet_points: tuple  # support points on each facet
     vertices: tuple  # diagram vertices (lattice points)
     convenient: bool
-    region_below: dict  # segments joining the origin to the diagram (informational)
 
     def strictly_above(self, alpha: Sequence) -> bool:
         """Is the point strictly above every compact facet plane?"""
@@ -438,7 +437,6 @@ def newton_diagram(f: Poly) -> NewtonData:
         facet_points=tuple(t for _, _, t in facets),
         vertices=tuple(verts),
         convenient=not _missing_axes(support, n),
-        region_below={"origin": [0] * n, "diagram_vertices": [list(v) for v in verts]},
     )
 
 
@@ -506,21 +504,13 @@ class ValuationReport:
 
 def valuation(P: CPolytope, f: Poly) -> ValuationReport:
     """Scaled piecewise valuation of f with per-term facet attainment."""
-    if f.is_zero():
-        return ValuationReport(INFINITY, {})
-    best = None
-    for m in f.terms:
-        v = P.value(m)
-        if best is None or v < best:
-            best = v
-    attaining = {
-        m: P.attaining(m) for m in f.terms if P.value(m) == best
-    }
-    return ValuationReport(best, attaining)
+    best = valuation_poly(P, f)
+    return ValuationReport(best, {m: P.attaining(m) for m in f.terms if P.value(m) == best})
 
 
 def valuation_poly(P: CPolytope, f: Poly):
-    return valuation(P, f).value
+    """Scaled piecewise valuation of f: INFINITY for the zero polynomial."""
+    return min((P.value(m) for m in f.terms), default=INFINITY)
 
 
 def valuation_mono_shifted(P: CPolytope, beta: Mono, axis: int) -> int:

@@ -138,27 +138,14 @@ def sqh_check(f: Poly, w, mode: str) -> SQHReport:
         raise ValueError("weights must be positive")
     principal = weighted_initial_form(f, w)
     degree = min(sum(a * b for a, b in zip(w, m)) for m in principal.terms)
-    if mode == "right":
-        inv = milnor(principal)
-        formula = None
-        consistent = None
-        if inv != INFINITY:
-            value = Fraction(1)
-            for wi in w:
-                value *= Fraction(degree, wi) - 1
-            formula = int(value) if value.denominator == 1 else None
-            consistent = formula == inv
-        return SQHReport(
-            mode=mode,
-            weights=w,
-            degree=degree,
-            principal_part=principal,
-            principal_invariant=inv,
-            semi=inv != INFINITY,
-            product_formula=formula,
-            formula_consistent=consistent,
-        )
-    inv = tjurina(principal)
+    inv = (milnor if mode == "right" else tjurina)(principal)
+    formula = consistent = None
+    if mode == "right" and inv != INFINITY:
+        value = Fraction(1)
+        for wi in w:
+            value *= Fraction(degree, wi) - 1
+        formula = int(value) if value.denominator == 1 else None
+        consistent = formula == inv
     return SQHReport(
         mode=mode,
         weights=w,
@@ -166,6 +153,8 @@ def sqh_check(f: Poly, w, mode: str) -> SQHReport:
         principal_part=principal,
         principal_invariant=inv,
         semi=inv != INFINITY,
+        product_formula=formula,
+        formula_consistent=consistent,
     )
 
 

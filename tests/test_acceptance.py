@@ -73,3 +73,19 @@ def test_criterion_8_wave_family(char):
 def test_criterion_9_property_suites(suite):
     check = suite(cases=200)
     report([check])
+
+
+def test_internal_error_in_pool_fails_the_suite(monkeypatch):
+    """An error other than a named refusal propagates instead of shrinking
+    the principal-part pool to a vacuous pass."""
+
+    def broken(*args, **kwargs):
+        raise AssertionError("internal error")
+
+    fixtures._normal_form_pool.cache_clear()
+    monkeypatch.setattr(fixtures, "regular_basis", broken)
+    try:
+        with pytest.raises(AssertionError, match="internal error"):
+            fixtures.suite_normal_form_tjurina(cases=1)
+    finally:
+        fixtures._normal_form_pool.cache_clear()

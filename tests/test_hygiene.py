@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level function or class of the package goes unused."""
+no module-level function or class of the package goes unused, and no
+handler catches every exception."""
 
 import ast
 import functools
@@ -91,3 +92,37 @@ def test_definition_detector_counts_loads_and_strings():
     defined = module_definitions(source)
     assert [d for d in defined if d[1] not in loaded_names(source)] == [(2, "g"), (3, "C")]
     assert [d for d in defined if d[1] not in loaded_names(source, strings=True)] == [(2, "g")]
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(source: str) -> list:
+    """(line, caught) of each bare `except:` and each handler naming a catch-all class."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            found.append((node.lineno, "bare"))
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        found.extend(
+            (node.lineno, t.id) for t in caught if isinstance(t, ast.Name) and t.id in BROAD
+        )
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_broad_exception_handlers(path):
+    assert broad_handlers(path.read_text()) == []
+
+
+def test_broad_handler_detector():
+    source = (
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n"
+        "try:\n    pass\nexcept (KeyError, BaseException):\n    pass\n"
+        "try:\n    pass\nexcept:\n    pass\n"
+    )
+    assert broad_handlers(source) == [(7, "Exception"), (11, "BaseException"), (15, "bare")]
