@@ -7,7 +7,7 @@ exactness conditions, inner non-degeneracy, determinacy bounds and normal
 forms with respect to right and contact equivalence.
 """
 
-from possing.poly import Ring, Poly, Derivation, Automorphism, INFINITY
+from possing.poly import Ring, Poly, Automorphism, INFINITY
 from possing.localalg import (
     OrderingSpec,
     StandardBasis,
@@ -27,7 +27,6 @@ from possing.newton import (
     cpolytope_from_weights,
     cpolytope_from_poly,
     valuation,
-    valuation_derivation,
     initial_form,
     inner_faces,
 )
@@ -35,9 +34,7 @@ from possing.grading import (
     Grading,
     GradedPieceReport,
     RegularBasisResult,
-    graded_piece,
     regular_basis,
-    vanishes_in_gr,
     check_condition,
     ray_criterion,
 )
@@ -56,13 +53,11 @@ from possing.normalform import (
     determinacy_generic,
     determinacy_filtered,
     normal_form,
-    reduce_step,
 )
 
 __all__ = [
     "Ring",
     "Poly",
-    "Derivation",
     "Automorphism",
     "INFINITY",
     "OrderingSpec",
@@ -81,15 +76,12 @@ __all__ = [
     "cpolytope_from_weights",
     "cpolytope_from_poly",
     "valuation",
-    "valuation_derivation",
     "initial_form",
     "inner_faces",
     "Grading",
     "GradedPieceReport",
     "RegularBasisResult",
-    "graded_piece",
     "regular_basis",
-    "vanishes_in_gr",
     "check_condition",
     "ray_criterion",
     "QHType",
@@ -104,7 +96,6 @@ __all__ = [
     "determinacy_generic",
     "determinacy_filtered",
     "normal_form",
-    "reduce_step",
 ]
 
 __version__ = "0.1.0"

@@ -38,7 +38,6 @@ from possing.localalg import (
 from possing.newton import (
     CPolytope,
     _filtered_dims,
-    _filtered_echelon,
     _lattice_sweep,
     _primitive,
     _row_echelon,
@@ -85,16 +84,13 @@ class ConditionFailure(ValueError):
 
 @dataclass
 class GradedPieceReport:
-    """One degree of a graded algebra: ambient monomials, image, survivors."""
+    """One degree of a graded algebra: image generators and survivors."""
 
-    mode: Grading
-    degree: int
-    ambient: tuple  # monomials of this valuation, ascending degrevlex
     image_labels: tuple  # labels of the image generators with nonzero piece
     rank: int
     quotient_basis: tuple  # surviving monomials, ascending degrevlex
-    columns: tuple = field(repr=False, default=())  # pivot-preference order
-    echelon: object = field(repr=False, default=None)
+    columns: tuple = field(repr=False)  # pivot-preference order
+    echelon: object = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -147,17 +143,13 @@ class GradedAlgebra:
     def _compute_piece(self, d: int) -> GradedPieceReport:
         if d < 0:
             raise ValueError("negative filtration degree")
-        ambient = monomials_of_valuation(self.P, d)
-        cols = sorted(ambient, key=local_key, reverse=True)
+        cols = sorted(monomials_of_valuation(self.P, d), key=local_key, reverse=True)
         ech, labels = _row_echelon(
             self.ring, cols, self.generators(d - self.value_f), track=True
         )
         survivors = [m for i, m in enumerate(cols) if i not in ech.pivots]
         survivors.sort(key=degrevlex_key)
         return GradedPieceReport(
-            mode=self.mode,
-            degree=d,
-            ambient=tuple(ambient),
             image_labels=tuple(labels),
             rank=ech.rank,
             quotient_basis=tuple(survivors),
@@ -227,53 +219,10 @@ def plain_graded_dims(P: CPolytope, f: Poly, mode: Grading, dmax: int) -> list:
     return _filtered_dims(P, f.ring, _plain_gens(f, mode), dmax)
 
 
-def _plain_piece(P: CPolytope, f: Poly, d: int, mode: Grading) -> GradedPieceReport:
-    cols, ech, labels = _filtered_echelon(P, f.ring, _plain_gens(f, mode), d)
-    level_cols = [m for m in cols if P.value(m) == d]
-    pivots = {cols[pos] for pos in ech.pivots}
-    survivors = sorted((m for m in level_cols if m not in pivots), key=degrevlex_key)
-    return GradedPieceReport(
-        mode=mode,
-        degree=d,
-        ambient=tuple(sorted(level_cols, key=degrevlex_key)),
-        image_labels=tuple(labels),
-        rank=len(level_cols) - len(survivors),
-        quotient_basis=tuple(survivors),
-        columns=tuple(level_cols),
-        echelon=None,
-    )
-
-
-# -- public operations ------------------------------------------------------------
-
-
-def graded_piece(P: CPolytope, f: Poly, d: int, mode: Grading) -> GradedPieceReport:
-    """The degree-d piece of the chosen graded algebra of f."""
-    if d < 0:
-        raise ValueError("negative filtration degree")
-    if mode.expected:
-        return GradedAlgebra(P, f, mode).piece(d)
-    return _plain_piece(P, f, d, mode)
-
-
-def vanishes_in_gr(P: CPolytope, f: Poly, m: Mono, mode: Grading) -> bool:
-    """Is the class of the monomial zero in the chosen graded algebra?
-
-    Exact linear algebra decides; cone propagation only accelerates repeat
-    queries through GradedAlgebra instances.
-    """
-    if mode.expected:
-        return GradedAlgebra(P, f, mode).vanishes(tuple(m), use_cone=False)
-    d = P.value(m)
-    piece = _plain_piece(P, f, d, mode)
-    return tuple(m) not in piece.quotient_basis
-
-
 @dataclass(frozen=True)
 class RayReport:
     """Scan result for the ray through one zero-dimensional face."""
 
-    vertex: tuple
     direction: Mono  # primitive lattice direction
     facets: frozenset  # facet indices whose cone contains the ray
     first_vanishing: Optional[Mono]
@@ -320,8 +269,7 @@ def ray_criterion(
     for face in P.faces:
         if face.dimension != 0:
             continue
-        vertex = face.vertices[0]
-        u = _primitive(vertex)
+        u = _primitive(face.vertices[0])
         hit = None
         mult = None
         for k in range(1, scan_bound + 1):
@@ -332,7 +280,6 @@ def ray_criterion(
                 break
         rays.append(
             RayReport(
-                vertex=vertex,
                 direction=u,
                 facets=face.weight_indices,
                 first_vanishing=hit,
@@ -428,7 +375,6 @@ class ConditionReport:
     """Verdict for one of the graded finiteness/exactness conditions."""
 
     mode: str  # "right" | "contact"
-    strict: bool  # exactness (graded dimension equals the local invariant)
     holds: bool
     graded_dimension: object
     local_dimension: object  # Milnor or Tjurina number of f
@@ -458,7 +404,6 @@ def check_condition(
         raise AssertionError("finite local dimension but no witness ray found")
     return ConditionReport(
         mode=mode,
-        strict=strict,
         holds=rb.finite and (not strict or rb.dimension == local_dim),
         graded_dimension=rb.dimension,  # INFINITY when not finite
         local_dimension=local_dim,

@@ -376,15 +376,6 @@ def saturate(gens: Iterable, g: Poly) -> list:
     return [p for _, p in _minimalize(free, degrevlex_key)]
 
 
-def contains_one(gens: list) -> bool:
-    """Is the ideal generated in the polynomial ring the unit ideal?"""
-    gens = [p for p in gens if not p.is_zero()]
-    if not gens:
-        return False
-    gb = std_basis(gens, GLOBAL)
-    return any(sum(lm) == 0 for lm in gb.leading_monomials)
-
-
 # -- brute-force oracle ---------------------------------------------------------
 
 

@@ -20,8 +20,6 @@ from typing import Iterable, Optional, Sequence
 
 from possing.poly import (
     INFINITY,
-    Derivation,
-    Mono,
     Poly,
     degrevlex_key,
     local_key,
@@ -363,10 +361,6 @@ class NewtonData:
     vertices: tuple  # diagram vertices (lattice points)
     convenient: bool
 
-    def strictly_above(self, alpha: Sequence) -> bool:
-        """Is the point strictly above every compact facet plane?"""
-        return all(_dot(w, alpha) > c for w, c in self.facet_forms)
-
 
 def _minimal_points(support: list) -> list:
     out = []
@@ -511,25 +505,6 @@ def valuation(P: CPolytope, f: Poly) -> ValuationReport:
 def valuation_poly(P: CPolytope, f: Poly):
     """Scaled piecewise valuation of f: INFINITY for the zero polynomial."""
     return min((P.value(m) for m in f.terms), default=INFINITY)
-
-
-def valuation_mono_shifted(P: CPolytope, beta: Mono, axis: int) -> int:
-    """Valuation of the monomial derivation x^beta d/dx_axis (may be negative)."""
-    shifted = tuple(b - (1 if j == axis else 0) for j, b in enumerate(beta))
-    return min(_dot(w, shifted) for w in P.weights)
-
-
-def valuation_derivation(P: CPolytope, xi: Derivation) -> int:
-    """min over nonzero terms of the shifted valuation; error on zero derivation."""
-    if xi.is_zero():
-        raise PolytopeError("zero derivation has no valuation")
-    best = None
-    for i, b in enumerate(xi.coefficients):
-        for beta in b.terms:
-            v = valuation_mono_shifted(P, beta, i)
-            if best is None or v < best:
-                best = v
-    return best
 
 
 def initial_form(P: CPolytope, f: Poly) -> Poly:

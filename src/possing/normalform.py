@@ -222,42 +222,6 @@ def _elimination(ring, b0: Poly, bs: list, cutoff: int) -> Automorphism:
     return Automorphism(offsets=tuple(-b for b in bs), unit=unit)
 
 
-def reduce_step(
-    P: CPolytope,
-    fP: Poly,
-    current: Poly,
-    d: int,
-    mode: str,
-    algebra: Optional[GradedAlgebra] = None,
-    cutoff: Optional[int] = None,
-):
-    """One elimination step at piecewise degree d.
-
-    Splits the degree-d part of current - fP into surviving basis terms
-    (left in place) and an image combination, against the same image as
-    one iteration of normal_form with an empty tail (the wider level image
-    included), and applies the coordinate change plus unit that removes the
-    image part.  Returns the transformed series and the applied
-    transformation.
-    """
-    ring = current.ring
-    grmode = expected_grading(mode)
-    alg = algebra if algebra is not None else GradedAlgebra(P, fP, grmode)
-    residual = current - fP
-    if residual.is_zero():
-        return current, Automorphism(offsets=tuple(ring.zero() for _ in range(ring.nvars)))
-    if valuation_poly(P, residual) != d:
-        raise ValueError("current residual does not sit at the requested degree")
-    _, used = _split(alg, residual, d, d)
-    b0, bs = _decode(ring, used)
-    if cutoff is None:
-        offset_deg = max([b.degree() for b in bs if b] + [1])
-        cutoff = current.degree() * offset_deg + b0.degree() + 2
-    phi = _elimination(ring, b0, bs, cutoff)
-    nxt = apply_transformation(current, phi, cutoff)
-    return nxt, phi
-
-
 class NormalFormRefusal(ConditionFailure):
     pass
 

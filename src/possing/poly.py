@@ -26,6 +26,11 @@ class RingError(ValueError):
     """Invalid field data or mismatched ring contexts."""
 
 
+# Characteristics from here on are refused: `_is_prime` divides by trial, which
+# takes about 46,000 steps just below this bound but 10^9, over a minute, near 10^18.
+CHAR_LIMIT = 2**31
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -74,6 +79,8 @@ class Ring:
     names: tuple
 
     def __post_init__(self):
+        if self.char >= CHAR_LIMIT:
+            raise RingError("characteristic must be below 2^31, got %r" % (self.char,))
         if self.char != 0 and not _is_prime(self.char):
             raise RingError("characteristic must be 0 or a prime, got %r" % (self.char,))
         names = tuple(self.names)
@@ -282,36 +289,6 @@ class Poly:
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """A derivation sum_i b_i * d/dx_i given by its coefficient tuple."""
-
-    coefficients: tuple  # one Poly per variable
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise RingError("empty derivation")
-        ring = self.coefficients[0].ring
-        if any(p.ring != ring for p in self.coefficients):
-            raise RingError("mixed ring contexts in derivation")
-        if len(self.coefficients) != ring.nvars:
-            raise RingError("derivation arity does not match ring")
-
-    @property
-    def ring(self) -> Ring:
-        return self.coefficients[0].ring
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.coefficients)
-
-    def apply(self, f: Poly) -> Poly:
-        out = f.ring.zero()
-        for i, b in enumerate(self.coefficients):
-            if b:
-                out = out + b * f.partial(i)
-        return out
-
-
-@dataclass(frozen=True)
 class Automorphism:
     """Coordinate change x_i -> x_i + g_i with ord(g_i) >= 1, plus optional unit.
 
@@ -338,11 +315,6 @@ class Automorphism:
     @property
     def ring(self) -> Ring:
         return self.offsets[0].ring
-
-    def is_identity(self) -> bool:
-        return all(g.is_zero() for g in self.offsets) and (
-            self.unit is None or self.unit == self.ring.one()
-        )
 
 
 def substitute(f: Poly, phi: Automorphism, cutoff: int) -> Poly:

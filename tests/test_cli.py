@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -37,6 +38,18 @@ class TestParsing:
         code, _, err = invoke(["tau", "--char", "4", "--vars", "x,y", "x^2+y^2"])
         assert code == 1
         assert "prime" in err
+
+    def test_largest_accepted_characteristic(self):
+        code, rep, _ = invoke_json(["mu", "--char", "2147483647", "--vars", "x,y", "x^2+y^3"])
+        assert code == 0
+        assert rep["result"]["milnor"] == 2
+
+    def test_huge_characteristic_refused_fast(self):
+        start = time.perf_counter()
+        code, _, err = invoke(["mu", "--char", "1000000000000000003", "--vars", "x,y", "x^2+y^3"])
+        assert code == 1
+        assert "2^31" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_unknown_variable(self):
         code, _, err = invoke(["tau", "--vars", "x,y", "x+z"])

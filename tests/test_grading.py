@@ -7,11 +7,9 @@ from possing.grading import (
     GradedAlgebra,
     Grading,
     check_condition,
-    graded_piece,
     plain_graded_dims,
     ray_criterion,
     regular_basis,
-    vanishes_in_gr,
 )
 from possing.localalg import INFINITY, milnor, tjurina
 from possing.newton import cpolytope_from_poly, cpolytope_from_weights
@@ -45,12 +43,12 @@ def t45():
 class TestGradedPiece:
     def test_degree_zero_survivor(self):
         ring, f, Pw = q10()
-        piece = graded_piece(Pw, f, 0, Grading.TJURINA_EXPECTED)
+        piece = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED).piece(0)
         assert piece.quotient_basis == ((0, 0, 0),)
 
     def test_principal_level_fully_covered(self):
         ring, f, Pw = q10()
-        piece = graded_piece(Pw, f, 24, Grading.TJURINA_EXPECTED)
+        piece = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED).piece(24)
         assert piece.quotient_basis == ()
 
     def test_qh_expected_equals_plain(self):
@@ -61,20 +59,10 @@ class TestGradedPiece:
         alg = GradedAlgebra(Pw, f, Grading.MILNOR_EXPECTED)
         assert dims_plain == [alg.piece(d).dimension for d in range(15)]
 
-    def test_plain_piece_matches_plain_dims(self):
-        # graded_piece and plain_graded_dims read the same plain algebra
-        for ring, f, Pw in (t45(), q10()):
-            for mode in (Grading.MILNOR, Grading.TJURINA):
-                dims = plain_graded_dims(Pw, f, mode, 30)
-                for d in range(31):
-                    piece = graded_piece(Pw, f, d, mode)
-                    assert piece.dimension == dims[d], (mode, d)
-                    assert piece.rank + piece.dimension == len(piece.ambient)
-
     def test_negative_degree_rejected(self):
         ring, f, Pw = q10()
         with pytest.raises(ValueError):
-            graded_piece(Pw, f, -1, Grading.TJURINA_EXPECTED)
+            GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED).piece(-1)
 
     def test_t45_high_survivors(self):
         ring, f, Pw = t45()
@@ -110,19 +98,22 @@ class TestRegularBasis:
 class TestVanishes:
     def test_e33_vanishing_monomials(self):
         ring, f, Pw = e33()
+        alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
         for m in ((15, 0), (0, 15), (9, 6)):
-            assert vanishes_in_gr(Pw, f, m, Grading.TJURINA_EXPECTED)
+            assert alg.vanishes(m, use_cone=False)
 
     def test_e33_surviving_monomial(self):
         ring, f, Pw = e33()
-        assert not vanishes_in_gr(Pw, f, (1, 3), Grading.TJURINA_EXPECTED)
+        alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+        assert not alg.vanishes((1, 3), use_cone=False)
 
     def test_tpq_char_divides_p(self):
         # char 5 divides p=5: x^2y^2 = scalar * x * d/dx(f) at expected valuation
         ring = Ring(5, ("x", "y"))
         f = ring.poly([((5, 0), 1), ((2, 2), 1), ((0, 7), 1)])
         Pw = cpolytope_from_poly(f)
-        assert vanishes_in_gr(Pw, f, (2, 2), Grading.TJURINA_EXPECTED)
+        alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+        assert alg.vanishes((2, 2), use_cone=False)
 
     def test_cone_propagation_consistent(self):
         ring = Ring(5, ("x", "y"))
@@ -141,7 +132,8 @@ class TestVanishes:
             ring = Ring(char, ("x", "y"))
             f = ring.poly([((5, 0), 1), ((2, 2), 1), ((0, 7), 1)])
             Pw = cpolytope_from_poly(f)
-            assert vanishes_in_gr(Pw, f, (5, 0), Grading.TJURINA_EXPECTED) == expect
+            alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+            assert alg.vanishes((5, 0), use_cone=False) == expect
 
 
 class TestRayCriterion:

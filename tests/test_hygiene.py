@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module-level function or class of the package goes unused, and no
-handler catches every exception."""
+no module-level function or class of the package goes unused, no public
+entry point is reached by tests alone, and no handler catches every
+exception."""
 
 import ast
 import functools
@@ -92,6 +93,73 @@ def test_definition_detector_counts_loads_and_strings():
     defined = module_definitions(source)
     assert [d for d in defined if d[1] not in loaded_names(source)] == [(2, "g"), (3, "C")]
     assert [d for d in defined if d[1] not in loaded_names(source, strings=True)] == [(2, "g")]
+
+
+# trees whose loads make a public definition part of a code path the program
+# runs; `__init__.py` only re-exports, and tests do not count
+PROGRAM_DIRS = ("src", "scripts", "perfbench")
+# public definitions that only tests may reach, with the reason
+TEST_ONLY = {
+    "bruteforce_local_dim": "the degree-graded oracle that tests check the fast paths against",
+}
+
+
+def public_definitions(source: str) -> list:
+    """(line, name) of the public module-level functions and classes and of
+    the public methods of module-level classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return [(line, name) for line, name in found if not name.startswith("_")]
+
+
+def without_annotations(source: str) -> str:
+    """The source with every annotation blanked: naming a type runs no code path."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.returns = None
+        elif isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+    return ast.unparse(tree)
+
+
+@functools.cache
+def program_names() -> frozenset:
+    """Names and attributes loaded by the program itself, outside annotations."""
+    return frozenset().union(*(
+        loaded_names(without_annotations(path.read_text()))
+        for top in PROGRAM_DIRS
+        for path in (ROOT / top).rglob("*.py")
+        if path.name != "__init__.py"
+    ))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_test_only_entry_points(path):
+    used = program_names() | set(TEST_ONLY)
+    assert [d for d in public_definitions(path.read_text()) if d[1] not in used] == []
+
+
+def test_entry_point_detector_covers_methods_and_skips_private():
+    source = (
+        "def f(): pass\ndef _g(): pass\nclass C:\n"
+        "    def m(self): pass\n    def _h(self): pass\n    def __eq__(self, o): pass\n"
+    )
+    assert public_definitions(source) == [(1, "f"), (3, "C"), (4, "m")]
+    caller = "def g(x: f) -> f:\n    y: f = C()\n    return y.m()\n"
+    loads = loaded_names(without_annotations(caller))
+    assert [d for d in public_definitions(source) if d[1] not in loads] == [(1, "f")]
 
 
 BROAD = {"Exception", "BaseException"}

@@ -8,7 +8,6 @@ from possing.localalg import (
     StandardBasis,
     bruteforce_local_dim,
     bruteforce_vdim,
-    contains_one,
     jacobian_ideal_gens,
     milnor,
     min_power_containment,
@@ -156,7 +155,7 @@ class TestSaturate:
     def test_unit_result(self):
         x, y = RQ.var(0), RQ.var(1)
         out = saturate([x * x, x * y], x)
-        assert contains_one(out)
+        assert out == [RQ.one()]
 
 
 chars = st.sampled_from([2, 3, 5])
@@ -383,4 +382,4 @@ def test_saturate_is_the_saturation(char, gen_terms, g_expo):
     for s in out:
         assert any(ideal.contains(gk * s) for gk in powers)
     if any(ideal.contains(gk) for gk in powers):
-        assert contains_one(out)
+        assert out == [ring.one()]

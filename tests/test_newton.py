@@ -14,6 +14,7 @@ from possing.newton import (
     PolytopeError,
     cpolytope_from_poly,
     cpolytope_from_weights,
+    derivation_monomials,
     face_initial_form,
     initial_form,
     inner_faces,
@@ -21,10 +22,9 @@ from possing.newton import (
     monomials_of_valuation,
     newton_diagram,
     valuation,
-    valuation_derivation,
     valuation_poly,
 )
-from possing.poly import Derivation, Ring, degrevlex_key, poly_from_string
+from possing.poly import Ring, degrevlex_key, poly_from_string
 
 RQ = Ring(0, ("x", "y"))
 R2 = Ring(2, ("x", "y"))
@@ -44,8 +44,9 @@ class TestNewtonDiagram:
         f = P(RQ, "x*y^4+x^2*y^3+x^3*y^2-x^4*y^2+x^7")
         nd = newton_diagram(f)
         assert nd.vertices == ((1, 4), (3, 2), (7, 0))
-        assert nd.strictly_above((4, 2))
-        assert not nd.strictly_above((2, 3))  # on the diagram
+        # (4, 2) lies strictly above every compact facet plane, (2, 3) on one
+        assert all(4 * w[0] + 2 * w[1] > c for w, c in nd.facet_forms)
+        assert any(2 * w[0] + 3 * w[1] == c for w, c in nd.facet_forms)
 
     def test_single_facet(self):
         nd = newton_diagram(P(RQ, "x^3+y^4"))
@@ -210,15 +211,14 @@ class TestValuation:
         assert valuation(PH_EXAMPLE, R2.zero()).value == float("inf")
 
     def test_derivation_euler_is_zero(self):
+        # x d/dx has valuation 0
         for Pw in (PH_EXAMPLE, cpolytope_from_weights([(2, 3)])):
-            xi = Derivation((RQ.var(0), RQ.zero()))
-            assert valuation_derivation(Pw, xi) == 0
+            assert (1, 0) in derivation_monomials(Pw, 0, 0)
 
     def test_t45_derivation(self):
         Pt = cpolytope_from_poly(P(R2, "x^5+x^2*y^2+y^4"))
         for n in (4, 5, 6):
-            xi = Derivation((R2.monomial((2, 4 * n - 6)), R2.zero()))
-            assert valuation_derivation(Pt, xi) == 20 * n - 25
+            assert (2, 4 * n - 6) in derivation_monomials(Pt, 0, 20 * n - 25)
 
     def test_tpq_partial_derivation(self):
         # p=5, q=7: formal scale equals 2pq, so v(d/dx) = 2p - pq
@@ -226,8 +226,7 @@ class TestValuation:
         f = R.poly([((5, 0), 1), ((2, 2), 1), ((0, 7), 1)])
         Pt = cpolytope_from_poly(f)
         assert Pt.nscale == 70
-        xi = Derivation((R.one(), R.zero()))
-        assert valuation_derivation(Pt, xi) == 2 * 5 - 5 * 7
+        assert (0, 0) in derivation_monomials(Pt, 0, 2 * 5 - 5 * 7)
 
 
 class TestInitialForm:
@@ -393,20 +392,20 @@ def test_sum_valuation_at_least_min(ws, fterms, gterms):
 @given(weightvecs, monos, st.integers(0, 1),
        st.lists(st.tuples(monos, st.integers(1, 6)), min_size=1, max_size=4))
 def test_derivation_subadditive(ws, beta, axis, fterms):
-    """v(xi f) >= v(xi) + v(f) for monomial derivations."""
+    """v(x^b d/dx_axis f) >= t + v(f) for every b that derivation_monomials
+    lists at valuation t; t is the level of the drawn monomial derivation."""
     ring = Ring(7, ("x", "y"))
     Pw = cpolytope_from_weights(ws)
     f = ring.poly(fterms)
     assume(f)
-    coeffs = [ring.zero(), ring.zero()]
-    coeffs[axis] = ring.monomial(beta)
-    xi = Derivation(tuple(coeffs))
-    applied = xi.apply(f)
-    if applied.is_zero():
-        return
-    assert valuation_poly(Pw, applied) >= valuation_derivation(Pw, xi) + valuation_poly(
-        Pw, f
-    )
+    partial = f.partial(axis)
+    t = min(w[0] * beta[0] + w[1] * beta[1] - w[axis] for w in Pw.weights)
+    level = derivation_monomials(Pw, axis, t)
+    assert tuple(beta) in level
+    for b in level:
+        applied = partial.term_mul(b, 1)
+        if not applied.is_zero():
+            assert valuation_poly(Pw, applied) >= t + valuation_poly(Pw, f)
 
 
 def test_convenient_initial_form_matches_diagram():
@@ -414,5 +413,7 @@ def test_convenient_initial_form_matches_diagram():
     Pw = cpolytope_from_poly(f)
     nd = newton_diagram(f)
     inits = initial_form(Pw, f)
-    on_diagram = f.filter_terms(lambda m: not nd.strictly_above(m))
+    on_diagram = f.filter_terms(
+        lambda m: any(w[0] * m[0] + w[1] * m[1] <= c for w, c in nd.facet_forms)
+    )
     assert inits == on_diagram

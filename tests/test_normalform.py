@@ -11,7 +11,6 @@ from possing.normalform import (
     determinacy_generic,
     normal_form,
     precondition_constant,
-    reduce_step,
     replay_matches,
 )
 from possing.poly import Ring, poly_from_string
@@ -132,39 +131,6 @@ class TestNormalForm:
         nf = normal_form(Pw, g, "contact")
         assert nf.tail == {(1, 1, 2): 1}
         assert (1, 1, 2) in nf.candidates
-
-
-class TestReduceStep:
-    def test_identity_on_principal_part(self):
-        ring, f, Pw = q10_setup()
-        nxt, phi = reduce_step(Pw, f, f, 29, "contact")
-        assert nxt == f and phi.is_identity()
-
-    def test_single_elimination(self):
-        # x^2*y^2 at level 4 under the (1,1)-filtration dies into the Jacobian image
-        f = P(RQ, "x^3+y^3")
-        Pw = cpolytope_from_weights([(Fraction(1, 3), Fraction(1, 3))])
-        current = f + P(RQ, "x^2*y^2")
-        nxt, phi = reduce_step(Pw, f, current, 4, "right", cutoff=8)
-        diff = nxt - f
-        assert diff.is_zero() or Pw.value(min(diff.terms, key=Pw.value)) > 4
-        offsets = [g for g in phi.offsets if not g.is_zero()]
-        assert offsets  # a genuine coordinate change happened
-
-    def test_step_uses_wider_image(self):
-        # one step by hand removes x*y^4 at level 98, as the loop does
-        ring = Ring(5, ("x", "y"))
-        f = P(ring, "x^7+x^3*y^2+y^4")
-        Pw = cpolytope_from_poly(f)
-        nxt, phi = reduce_step(Pw, f, f + P(ring, "x*y^4"), 98, "contact")
-        diff = nxt - f
-        assert diff.is_zero() or Pw.value(min(diff.terms, key=Pw.value)) > 98
-        assert not phi.is_identity()
-
-    def test_wrong_degree_rejected(self):
-        ring, f, Pw = q10_setup()
-        with pytest.raises(ValueError):
-            reduce_step(Pw, f, f + P(ring, "x*y*z^2"), 31, "contact")
 
 
 class TestPreconditionConstant:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from possing.poly import (
     INFINITY,
     Automorphism,
-    Derivation,
     Poly,
     PolyParseError,
     Ring,
@@ -116,11 +115,6 @@ def test_parse_errors_carry_position():
         P(RQ, "x y")  # implicit multiplication
     with pytest.raises(PolyParseError):
         P(RQ, "x^")
-
-
-def test_derivation_apply():
-    xi = Derivation((P(RQ, "y^2"), RQ.zero()))
-    assert xi.apply(P(RQ, "x^2")) == P(RQ, "2*x*y^2")
 
 
 coeffs = st.integers(min_value=-4, max_value=4)
