@@ -339,7 +339,7 @@ def cmd_determinacy(args, ring, f):
 def cmd_selftest(args, ring, f):
     from possing.fixtures import run_all
 
-    checks = run_all(verbose=not args.json)
+    checks = run_all(out=None if args.json else args.out)
     passed = sum(1 for c in checks if c.passed)
     result = {
         "total": len(checks),
@@ -417,6 +417,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
+    args.out = out  # selftest writes each check's line as the check finishes
     started = time.time()
     try:
         ring = build_ring(args)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable, List
+from typing import Callable, List, Optional, TextIO
 
 from possing.grading import (
     GradedAlgebra,
@@ -631,7 +631,8 @@ CRITERIA = {
 SELFTEST_CASES = 40  # draws per property suite in run_all
 
 
-def run_all(verbose: bool = False) -> List[CheckResult]:
+def run_all(out: Optional[TextIO] = None) -> List[CheckResult]:
+    """Every check, criteria first; each line goes to out as its check finishes."""
     checks = chain(
         (check for crit in sorted(CRITERIA) for check in CRITERIA[crit]()),
         (suite(cases=SELFTEST_CASES) for suite in PROPERTY_SUITES),
@@ -639,11 +640,12 @@ def run_all(verbose: bool = False) -> List[CheckResult]:
     results: List[CheckResult] = []
     for check in checks:
         results.append(check)
-        if verbose:
+        if out is not None:
             print(
                 "[criterion %d] %-64s %s"
-                % (check.criterion, check.name, "PASS" if check.passed else "FAIL")
+                % (check.criterion, check.name, "PASS" if check.passed else "FAIL"),
+                file=out,
             )
             if not check.passed and check.detail:
-                print("    %s" % check.detail)
+                print("    %s" % check.detail, file=out)
     return results

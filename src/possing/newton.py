@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from possing.poly import (
@@ -145,19 +145,6 @@ def _row_echelon(ring, cols: list, rows, track: bool):
     return ech, labels
 
 
-def _nullspace(rows: list, n: int) -> list:
-    """Rational basis of {w : rows . w = 0}, one vector per free column."""
-    mat, pivots = _rref(rows, n)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -mat[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def _solve_unique(rows: list, rhs: list) -> Optional[list]:
     """The solution of rows . x = rhs over Q when it exists and is unique, else None."""
     n = len(rows[0])
@@ -212,9 +199,6 @@ class CPolytope:
     def nvars(self) -> int:
         return len(self.weights[0])
 
-    def facets(self) -> list:
-        return [f for f in self.faces if f.dimension == self.nvars - 1]
-
     def value(self, alpha: Sequence) -> int:
         """The scaled piecewise valuation of a lattice exponent (an integer)."""
         return min(_dot(w, alpha) for w in self.weights)
@@ -230,7 +214,11 @@ class CPolytope:
 
 
 def _region_vertices(lambdas: list, n: int) -> list:
-    """Vertices of {r >= 0 : lambda_j . r >= 1 for all j}."""
+    """Vertices of {r >= 0 : lambda_j . r >= 1 for all j}.
+
+    The one polyhedral enumeration of the package: a vertex is the unique
+    solution of n tight constraints, chosen among the lambda_j and the axes.
+    """
     constraints = [("w", j) for j in range(len(lambdas))] + [("a", i) for i in range(n)]
     seen = set()
     verts = []
@@ -375,40 +363,12 @@ def _missing_axes(support: list, n: int) -> list:
     return [i for i in range(n) if not any(0 < m[i] == sum(m) for m in support)]
 
 
-def _compact_facets(points: list, n: int) -> list:
-    """Compact facets of hull(points + positive orthant): (normal, value, tights)."""
-    facets = {}
-    for combo in combinations(points, n):
-        base = combo[0]
-        rows = [[combo[k][i] - base[i] for i in range(n)] for k in range(1, n)]
-        # normal = nullspace of the (n-1) x n difference matrix when rank n-1
-        basis = _nullspace(rows, n)
-        if len(basis) != 1:
-            continue
-        w = _primitive(basis[0])
-        if any(c < 0 for c in w) and any(c > 0 for c in w):
-            continue
-        if sum(w) < 0:
-            w = tuple(-c for c in w)
-        if any(c <= 0 for c in w):
-            continue  # compact facets of a Newton polyhedron have positive normals
-        c = _dot(w, base)
-        if c <= 0:
-            continue
-        if any(_dot(w, p) < c for p in points):
-            continue
-        tight = tuple(sorted(p for p in points if _dot(w, p) == c))
-        if _affine_rank([tuple(map(Fraction, t)) for t in tight]) != n - 1:
-            continue
-        facets[(w, c)] = tight
-    return [(w, c, tight) for (w, c), tight in sorted(facets.items())]
-
-
 def newton_diagram(f: Poly) -> NewtonData:
     """Exact Newton polyhedron data of a nonzero polynomial.
 
-    The vertices of G = conv(supp f) + R^n_+ come by polarity from the
-    vertex set V of D = {w >= 0 : p . w >= 1 for every support point p}:
+    Everything comes by polarity from the vertex set V of the dual region
+    D = {w >= 0 : p . w >= 1 for every minimal support point p}, which
+    _region_vertices enumerates once.  G = conv(supp f) + R^n_+.
 
     1. For x >= 0, x lies in G exactly when w . x >= 1 for all w in D.
        If x is not in G, some a . x < b <= a . y for all y in G; since
@@ -416,30 +376,50 @@ def newton_diagram(f: Poly) -> NewtonData:
     2. D lies in the orthant, which is its recession cone, so
        D = conv(V) + R^n_+ and G = {x >= 0 : v . x >= 1 for v in V}.
     3. If 0 is in the support, D and V are empty and G's only vertex is 0.
+    4. The compact facets {w . x = c}, c > 0, of G are the strictly
+       positive v in V, with w primitive on the ray of v and v = w / c.
+       Such a v is tight at n independent constraints and at no axis, so
+       at n linearly independent minimal points; as v . x >= 1 on G, the
+       plane v . x = 1 cuts G in a face of affine rank n-1, bounded since
+       v > 0.  Conversely a compact facet has w >= 0 (G + R^n_+ = G) with
+       no zero entry (else the facet holds x + t e_i), so w / c lies in D
+       and is tight at n linearly independent facet points: a vertex.
     """
     if f.is_zero():
         raise PolytopeError("zero polynomial has no Newton diagram")
     n = f.ring.nvars
     support = sorted(f.support(), key=degrevlex_key)
     minimal = _minimal_points(support)
-    facets = _compact_facets(minimal, n)
     dual = _region_vertices(minimal, n)
+    facets = []
+    for lam in (v for v in dual if all(v)):
+        w = _primitive(lam)
+        tight = tuple(sorted(p for p in minimal if _dot(lam, p) == 1))
+        facets.append(((w, _dot(w, tight[0])), tight))
+    facets.sort()
     verts = sorted(tuple(int(c) for c in v) for v in _region_vertices(dual, n))
     return NewtonData(
         support=tuple(support),
-        facet_forms=tuple((w, c) for w, c, _ in facets),
-        facet_points=tuple(t for _, _, t in facets),
+        facet_forms=tuple(form for form, _ in facets),
+        facet_points=tuple(tight for _, tight in facets),
         vertices=tuple(verts),
         convenient=not _missing_axes(support, n),
     )
+
+
+def _facet_lambdas(support: list, n: int) -> list:
+    """The normalized compact facet forms of the diagram: the strictly
+    positive vertices of its dual region (newton_diagram, step 4)."""
+    return [v for v in _region_vertices(_minimal_points(support), n) if all(v)]
 
 
 def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
     """The Newton diagram of f as a weight polytope, extending when needed.
 
     rule 'extend': a non-convenient diagram gains, on each missing axis i,
-    the virtual point M_i e_i with M_i minimal such that no existing facet
-    is cut below; the induced filtration agrees with the diagram's on the
+    the virtual point M_i e_i with M_i = ceil(max 1 / lambda_i) over the
+    normalized facet forms lambda, the least value that no existing facet
+    cuts below; the induced filtration agrees with the diagram's on the
     original support.  When the diagram has no facet at all, M_i falls back
     to twice the Tjurina-based determinacy bound.
 
@@ -460,9 +440,9 @@ def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
     if rule != "extend":
         raise PolytopeError("unknown extension rule %r" % rule)
     support = list(f.support())
-    facets = _compact_facets(_minimal_points(support), n)
+    lambdas = _facet_lambdas(support, n)
     missing = _missing_axes(support, n)
-    if missing and not facets:
+    if missing and not lambdas:
         from possing.localalg import tjurina
 
         tau = tjurina(f)
@@ -473,17 +453,12 @@ def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
         fallback = 2 * (2 * int(tau) - int(f.order()) + 2)
     virtual = []
     for i in missing:
-        if facets:
-            bound = max(Fraction(c, w[i]) for w, c, _ in facets)
-            m_i = int(bound) if bound.denominator == 1 else int(bound) + 1
-        else:
-            m_i = fallback
+        m_i = ceil(max(1 / lam[i] for lam in lambdas)) if lambdas else fallback
         if m_i <= 0:
             raise PolytopeError("extension failed to produce a convenient diagram")
         virtual.append(tuple(m_i if j == i else 0 for j in range(n)))
     if virtual:
-        facets = _compact_facets(_minimal_points(support + virtual), n)
-    lambdas = [[Fraction(wi, c) for wi in w] for w, c, _ in facets]
+        lambdas = _facet_lambdas(support + virtual, n)
     return _build_polytope(lambdas, n, virtual_points=virtual)
 
 

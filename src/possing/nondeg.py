@@ -28,8 +28,10 @@ from possing.localalg import (
 )
 from possing.newton import (
     CPolytope,
-    _nullspace,
+    _dot,
     _primitive,
+    _region_vertices,
+    _rref,
     face_initial_form,
     inner_faces,
     weighted_initial_form,
@@ -53,62 +55,51 @@ def detect_qh(f: Poly) -> Optional[QHType]:
 
     Among valid integer weight vectors (gcd 1) the one of least L1 norm is
     returned, ties broken lexicographically.
+
+    The valid weights are the positive points of the cone C of w >= 0 with
+    p . w equal on the support; C lies in the orthant, so its extreme rays
+    generate it, and f is quasihomogeneous exactly when their sum is
+    positive.  An extreme ray r with p . r = d > 0 gives the vertex r / d of
+    the face of D = {w >= 0 : p . w >= 1 on the support} where every p is
+    tight, and these are the vertices of D with every p tight; a linearly
+    independent B spanning the support has the same ones, as the tight rows
+    of D and of B's dual region span the same space there.  An extreme ray
+    with p . r = 0 lives on the variables no p uses: a unit vector e_i.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     support = sorted(f.support())
     n = f.ring.nvars
-    base = support[0]
-    rows = [[a - b for a, b in zip(alpha, base)] for alpha in support[1:]]
-    # extreme rays of the solution cone within the closed orthant
-    rays = []
-    for keep in range(n, 0, -1):
-        for zeros in combinations(range(n), n - keep):
-            sys_rows = list(rows) + [
-                [1 if i == z else 0 for i in range(n)] for z in zeros
-            ]
-            basis = _nullspace(sys_rows, n)
-            if len(basis) != 1:
-                continue
-            ray = _primitive(basis[0])
-            if all(c <= 0 for c in ray):
-                ray = tuple(-c for c in ray)
-            if any(c < 0 for c in ray) or all(c == 0 for c in ray):
-                continue
-            if ray not in rays:
-                rays.append(ray)
-    if not rays:
-        return None
+    basis = [support[j] for j in _rref([list(c) for c in zip(*support)], len(support))[1]]
+    rays = [
+        _primitive(v)
+        for v in _region_vertices(basis, n)
+        if all(_dot(p, v) == 1 for p in support)
+    ]
+    rays += [tuple(int(j == i) for j in range(n)) for i in range(n)
+             if not any(p[i] for p in support)]
     summed = tuple(sum(col) for col in zip(*rays))
-    if any(c <= 0 for c in summed):
+    if not rays or any(c <= 0 for c in summed):
         return None
     w0 = _primitive(summed)
-    bound = min(sum(w0), _SEARCH_CAP)
-    best = None
-    if sum(w0) <= _SEARCH_CAP:
+    # w0 is valid, so the least valid weights have L1 norm at most sum(w0)
+    totals = range(n, sum(w0) + 1) if sum(w0) <= _SEARCH_CAP else ()
+    w = next(
+        (w for total in totals for w in _compositions(total, n)
+         if len({_dot(w, p) for p in support}) == 1),
+        w0,
+    )
+    return QHType(weights=w, degree=_dot(w, support[0]))
 
-        def rec(i, remaining, acc):
-            nonlocal best
-            if i == n - 1:
-                w = acc + [remaining]
-                if remaining >= 1 and all(
-                    sum(r * wi for r, wi in zip(row, w)) == 0 for row in rows
-                ):
-                    cand = tuple(w)
-                    key = (sum(cand), cand)
-                    if best is None or key < (sum(best), best):
-                        best = cand
-                return
-            for e in range(1, remaining - (n - 1 - i) + 1):
-                rec(i + 1, remaining - e, acc + [e])
 
-        for total in range(n, bound + 1):
-            rec(0, total, [])
-            if best is not None:
-                break
-    w = _primitive(best if best is not None else w0)
-    degree = sum(a * b for a, b in zip(w, base))
-    return QHType(weights=w, degree=degree)
+def _compositions(total: int, n: int):
+    """Positive integer n-vectors of sum total, in lexicographic order."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(1, total - n + 2):
+        for rest in _compositions(total - first, n - 1):
+            yield (first,) + rest
 
 
 @dataclass(frozen=True)

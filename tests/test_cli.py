@@ -225,3 +225,23 @@ class TestInternalFailures:
         assert code == 3
         assert err.startswith("error: internal: ") and str(exc) in err
         assert "Traceback" not in err and out == ""
+
+
+class TestSelftest:
+    def test_check_lines_go_to_the_out_stream(self, monkeypatch, capsys):
+        """Each check line and the summary go to `out`, none to stdout."""
+        from possing import fixtures
+
+        monkeypatch.setattr(fixtures, "CRITERIA", {
+            1: lambda: [fixtures.CheckResult(1, "fake passing check", True)]})
+        monkeypatch.setattr(fixtures, "PROPERTY_SUITES", [
+            lambda cases: fixtures.CheckResult(9, "fake failing suite", False, "why")])
+        code, out, err = invoke(["selftest"])
+        assert capsys.readouterr().out == ""
+        assert code == 2 and err == ""
+        assert out.splitlines() == [
+            "[criterion 1] %-64s PASS" % "fake passing check",
+            "[criterion 9] %-64s FAIL" % "fake failing suite",
+            "    why",
+            "selftest: 2 checks, 1 passed, 1 failed",
+        ]

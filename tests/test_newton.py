@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,7 +9,6 @@ from possing.newton import (
     CPolytope,
     _Echelon,
     _lattice_sweep,
-    _nullspace,
     _rref,
     _solve_unique,
     PolytopeError,
@@ -158,6 +158,13 @@ class TestFromPoly:
             cpolytope_from_poly(P(RQ, "1+x"))
 
 
+def minimal_points(support):
+    return [
+        p for p in support
+        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in support)
+    ]
+
+
 def oracle_vertices(support, n):
     """Minimal points not in conv(other minimal points) + R^n_+.
 
@@ -166,10 +173,7 @@ def oracle_vertices(support, n):
     nonnegative coefficients; a linearly independent choice exists, whose
     coefficients are then unique.
     """
-    minimal = [
-        p for p in support
-        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in support)
-    ]
+    minimal = minimal_points(support)
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
     def generated(p):
@@ -185,14 +189,64 @@ def oracle_vertices(support, n):
     return tuple(sorted(p for p in minimal if not generated(p)))
 
 
+def oracle_facets(support, n):
+    """(normal, value) and tight minimal points of every compact facet.
+
+    Every n minimal points that span a hyperplane with a positive primitive
+    normal w give a facet w . x = c when c > 0, no minimal point lies below
+    it, and the minimal points on it have affine rank n-1.
+    """
+    minimal = minimal_points(support)
+    facets = {}
+    for combo in combinations(minimal, n):
+        base = combo[0]
+        d = [[q[i] - base[i] for i in range(n)] for q in combo[1:]]
+        if n == 1:
+            w = (1,)
+        elif n == 2:
+            w = (-d[0][1], d[0][0])
+        else:
+            (a1, a2, a3), (b1, b2, b3) = d
+            w = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        if sum(w) < 0:
+            w = tuple(-a for a in w)
+        if any(a <= 0 for a in w):
+            continue
+        g = gcd(*w)
+        w = tuple(a // g for a in w)
+        c = sum(a * b for a, b in zip(w, base))
+        values = [sum(a * b for a, b in zip(w, p)) for p in minimal]
+        if c <= 0 or min(values) < c:
+            continue
+        tight = tuple(sorted(p for p, v in zip(minimal, values) if v == c))
+        if len(_rref([[a - b for a, b in zip(p, tight[0])] for p in tight[1:]], n)[1]) == n - 1:
+            facets[(w, c)] = tight
+    return sorted(facets.items())
+
+
+small_supports = st.integers(1, 3).flatmap(
+    lambda n: st.sets(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=7))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.sets(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=7)))
+@given(small_supports)
 def test_diagram_vertices_match_oracle(support):
     n = len(next(iter(support)))
     ring = Ring(0, ("x", "y", "z")[:n])
     nd = newton_diagram(ring.poly([(m, 1) for m in support]))
     assert nd.vertices == oracle_vertices(support, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_supports)
+def test_diagram_facets_match_oracle(support):
+    """The facets read off the dual vertices are the brute-force facets."""
+    n = len(next(iter(support)))
+    ring = Ring(0, ("x", "y", "z")[:n])
+    nd = newton_diagram(ring.poly([(m, 1) for m in support]))
+    facets = oracle_facets(support, n)
+    assert nd.facet_forms == tuple(form for form, _ in facets)
+    assert nd.facet_points == tuple(tight for _, tight in facets)
 
 
 class TestValuation:
@@ -355,15 +409,11 @@ small_matrices = st.integers(1, 4).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(small_matrices, st.data())
 def test_dense_kernel(rows, data):
-    """Nullspace, rank and unique solutions of the exact row reduction."""
+    """Rank and unique solutions of the exact row reduction."""
     n = len(rows[0])
     rhs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
     _, pivots = _rref(rows, n)
-    kernel = _nullspace(rows, n)
     assert len(pivots) == exact_rank(rows)
-    assert len(pivots) + len(kernel) == n
-    for vec in kernel:
-        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
     augmented = [row + [b] for row, b in zip(rows, rhs)]
     unique = exact_rank(rows) == n and exact_rank(augmented) == n
     sol = _solve_unique(rows, rhs)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -41,6 +43,67 @@ class TestDetectQH:
     def test_gcd_normalized(self):
         qh = detect_qh(P(RQ, "x^2+y^2"))
         assert qh.weights == (1, 1) and qh.degree == 2
+
+    def test_unused_variable_gets_weight_one(self):
+        R = Ring(0, ("x", "y", "z"))
+        qh = detect_qh(P(R, "x^2+y^3"))
+        assert qh.weights == (3, 2, 1) and qh.degree == 6
+
+    def test_constant_term_is_not_qh(self):
+        R = Ring(0, ("x", "y", "z"))
+        assert detect_qh(P(R, "1+x^2+y^3")) is None
+
+
+def compositions(total, n):
+    """Positive integer vectors of length n and sum total, in lexicographic order."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(1, total - n + 2):
+        for rest in compositions(total - first, n - 1):
+            yield (first,) + rest
+
+
+def least_qh_weights(support, n, cap=40):
+    """The least positive w by (L1 norm, lexicographic order) that puts the
+    support on one hyperplane w . p = d, searched up to L1 norm cap."""
+    for total in range(n, cap + 1):
+        for w in compositions(total, n):
+            if len({sum(a * b for a, b in zip(w, p)) for p in support}) == 1:
+                return w
+    return None
+
+
+@st.composite
+def qh_supports(draw):
+    """Supports on one weighted hyperplane or drawn freely, with some
+    variables unused and possibly a constant term."""
+    n = draw(st.integers(1, 3))
+    box = list(product(range(5), repeat=n))
+    if draw(st.booleans()):
+        w = draw(st.tuples(*[st.integers(1, 4)] * n))
+        d = sum(a * b for a, b in zip(w, draw(st.sampled_from(box))))
+        box = [p for p in box if sum(a * b for a, b in zip(w, p)) == d]
+    support = draw(st.sets(st.sampled_from(box), min_size=1, max_size=5))
+    unused = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    support = {tuple(0 if i in unused else a for i, a in enumerate(p)) for p in support}
+    if draw(st.booleans()):
+        support.add((0,) * n)
+    return n, sorted(support)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qh_supports())
+def test_detect_qh_matches_least_weights(drawn):
+    n, support = drawn
+    f = Ring(0, ("x", "y", "z")[:n]).poly([(m, 1) for m in support])
+    qh = detect_qh(f)
+    w = least_qh_weights(support, n)
+    if w is None:
+        assert qh is None or sum(qh.weights) > 40
+    else:
+        assert qh is not None
+        assert (qh.weights, qh.degree) == (w, sum(a * b for a, b in zip(w, support[0])))
 
 
 class TestSQH:
