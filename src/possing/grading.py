@@ -12,7 +12,7 @@ reduction and not by standard bases.
 
 The plain (non-expected) graded algebras of the quotients by the Jacobian
 and Tjurina ideals are computed by a single echelon over all monomials of
-bounded valuation, `newton._filtered_echelon`: with columns sorted by
+bounded valuation, `newton._filtered_dims`: with columns sorted by
 valuation, the pivots at level d count the image inside that level.  The
 echelons come from `newton`: every one, expected or plain, is a sparse
 `newton._Echelon` built by `newton._row_echelon` from (label, product) rows
@@ -260,8 +260,11 @@ def ray_criterion(
 
     Finiteness of the graded algebra is equivalent to every such ray
     carrying a vanishing monomial; a scan that finds none up to the bound
-    reports the ray as a witness.
+    reports the ray as a witness.  A scan bound below 1 checks no multiple
+    and is refused with ValueError.
     """
+    if scan_bound is not None and scan_bound < 1:
+        raise ValueError("scan bound must be at least 1, got %d" % scan_bound)
     alg = algebra if algebra is not None else GradedAlgebra(P, f, mode)
     if scan_bound is None:
         scan_bound = _default_scan_bound(tjurina(f) if mode.contact else milnor(f))

@@ -397,28 +397,40 @@ def bruteforce_local_dim(gens: list, cutoff: int) -> int:
     return sum(_degree_dims(gens, cutoff - 1))
 
 
-def bruteforce_vdim(gens: list, cap: int):
-    """Quotient dimension read off truncated echelons; INFINITY past cap.
+def _first_zero_level(gens: list, start: int, cap: int):
+    """(d, count): the first degree d with dims[d] == 0, and the count below it.
 
     An echelon truncated below degree D gives dims[d] = dim (I + m^d)/(I +
     m^(d+1)) for every d < D, and the count dims[0] + ... + dims[d-1] is
-    dim K[[x]]/(I + m^d), a lower bound for dim K[[x]]/I; a count past cap
-    gives INFINITY.  At the first d with dims[d] == 0, m^d lies in
-    I + m^(d+1) = I + m * m^d, so m^d lies in I by Nakayama and the count
-    below d is exact.  Until then each degree adds at least 1, so when all
-    of dims[0..D-1] are nonzero and the count is still at most cap, the
-    truncation min(2D, D + cap + 1 - count) reaches a decision or grows again.
+    dim K[[x]]/(I + m^d), a lower bound for dim K[[x]]/I.  At the first d
+    with dims[d] == 0, m^d lies in I + m^(d+1) = I + m * m^d, so m^d lies in
+    I by Nakayama and the count below d is exact.  Until then each degree
+    adds at least 1, so when all of dims[0..D-1] are nonzero and the count
+    is still at most cap, the truncation min(2D, D + cap + 1 - count)
+    reaches a decision or grows again.  The first truncation is start; None
+    once the count passes cap.
+    """
+    top = start
+    while True:
+        count = 0
+        for d, dim in enumerate(_degree_dims(gens, top - 1)):
+            if not dim:
+                return d, count
+            count += dim
+            if count > cap:
+                return None
+        top = min(2 * top, top + cap + 1 - count)
+
+
+def bruteforce_vdim(gens: list, cap: int):
+    """Quotient dimension read off truncated echelons; INFINITY past cap.
+
+    The count below the first zero level of the degree echelon, from
+    truncation 2 on (see `_first_zero_level`); a count past cap gives
+    INFINITY.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return INFINITY
-    top = 2
-    while True:
-        count = 0
-        for dim in _degree_dims(gens, top - 1):
-            if not dim:
-                return count
-            count += dim
-            if count > cap:
-                return INFINITY
-        top = min(2 * top, top + cap + 1 - count)
+    stop = _first_zero_level(gens, 2, cap)
+    return INFINITY if stop is None else stop[1]

@@ -570,15 +570,17 @@ def derivation_monomials(P: CPolytope, axis: int, t: int) -> list:
 # -- filtered echelons -----------------------------------------------------------
 
 
-def _filtered_echelon(P: CPolytope, ring, gens: list, dmax: int):
-    """Columns, echelon and row labels of the ideal's image up to valuation dmax.
+def _filtered_dims(P: CPolytope, ring, gens: list, dmax: int) -> list:
+    """dims[d] = dim (I + F_d)/(I + F_(d+1)) for d = 0..dmax, one elimination.
 
     Columns are the monomials of valuation <= dmax by level, local-leading
-    first within a level; rows are ("mult", gamma, i) for x^gamma times the
-    i-th generator (none for a zero one, of valuation INFINITY).  Pivots sit
-    at a row's lowest column, so the pivots below level c count the rows'
-    image modulo F_c, the span of the monomials of valuation >= c; for
-    c <= dmax + 1 that image is (I + F_c)/F_c, as v(x^gamma g) >= v(x^gamma) + v(g).
+    first within a level; rows are x^gamma times each generator (none for
+    a zero one, of valuation INFINITY).  Pivots sit at a row's lowest
+    column, so the pivots below level c count the rows' image modulo F_c,
+    the span of the monomials of valuation >= c; for c <= dmax + 1 that
+    image is (I + F_c)/F_c, as v(x^gamma g) >= v(x^gamma) + v(g).  So the
+    dims below level c sum to dim K[[x]]/(I + F_c) for every c <= dmax + 1.
+    Rows carry no label, since only the pivot positions are read.
     """
     by_level = {}
     for m in _lattice_sweep(P, 0, dmax):
@@ -589,20 +591,11 @@ def _filtered_echelon(P: CPolytope, ring, gens: list, dmax: int):
         for m in sorted(by_level[lvl], key=local_key, reverse=True)
     ]
     rows = (
-        (("mult", gamma, gi), g.term_mul(gamma, 1))
-        for gi, g in enumerate(gens)
+        (None, g.term_mul(gamma, 1))
+        for g in gens
         for gamma in _lattice_sweep(P, 0, dmax - valuation_poly(P, g))
     )
-    ech, labels = _row_echelon(ring, cols, rows, track=False)
-    return cols, ech, labels
-
-
-def _filtered_dims(P: CPolytope, ring, gens: list, dmax: int) -> list:
-    """dims[d] = dim (I + F_d)/(I + F_(d+1)) for d = 0..dmax, one elimination.
-
-    The dims below level c sum to dim K[[x]]/(I + F_c) for every c <= dmax + 1.
-    """
-    cols, ech, _ = _filtered_echelon(P, ring, gens, dmax)
+    ech, _ = _row_echelon(ring, cols, rows, track=False)
     dims = [0] * (dmax + 1)
     for pos, m in enumerate(cols):
         if pos not in ech.pivots:

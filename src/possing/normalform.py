@@ -42,12 +42,11 @@ from possing.grading import (
     regular_basis,
 )
 from possing.localalg import (
-    LOCAL,
+    _first_zero_level,
     jacobian_ideal_gens,
     milnor,
-    min_power_containment,
-    std_basis,
     tjurina,
+    tjurina_ideal_gens,
 )
 from possing.newton import CPolytope, _row_echelon, initial_form, valuation_poly
 from possing.poly import (
@@ -97,16 +96,37 @@ def _tangent_ideal_gens(f: Poly, mode: str) -> list:
 
 
 def precondition_constant(f: Poly, mode: str):
-    """Minimal k with m^(k+2) inside m^2 jac(f) (right) or m<f> + m^2 jac(f)."""
-    expected_grading(mode)
+    """Minimal k with m^(k+2) inside m^2 jac(f) (right) or m<f> + m^2 jac(f).
+
+    Let T be that tangent ideal and c = k + 2 the least power of m inside
+    it.  Let J' be jac(f) (right) or <f> + jac(f) (contact), inv its
+    colength (the Milnor or Tjurina number) and g its number of nonzero
+    generators.  c is the first level d where the degree echelon of T's
+    generators has dims[d] == 0 (`localalg._first_zero_level`), starting at
+    the truncation one past their top degree:
+    - Nakayama stop: at the first zero level d, m^d lies in T.  Each
+      earlier level d' is nonzero, so m^d' lies outside T + m^(d'+1) and
+      hence outside T.  So c = d exactly, and c >= 2, since T lies in m^2
+      (milnor and tjurina refuse an f with a constant term).
+    - Finiteness: m^2 J' lies in T, which lies in J', so T has finite
+      colength exactly when J' does, and c is INFINITY exactly when inv is.
+    - Cap: the dims below c sum to the colength of T, which is at most the
+      colength of m^2 J', inv + dim J'/m^2 J'.  J'/m^2 J' is spanned by g
+      elements over K[[x]]/m^2, of dimension n + 1, so the colength is at
+      most inv + g(n+1).  A count past that cap is an internal error, never
+      a verdict.
+    """
+    contact = expected_grading(mode).contact
+    inv = tjurina(f) if contact else milnor(f)
+    if inv == INFINITY:
+        return INFINITY
+    g = len(tjurina_ideal_gens(f) if contact else jacobian_ideal_gens(f))
     gens = _tangent_ideal_gens(f, mode)
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return INFINITY
-    bound = min_power_containment(std_basis(gens, LOCAL))
-    if bound == INFINITY:
-        return INFINITY
-    return max(int(bound) - 2, 0)
+    cap = int(inv) + g * (f.ring.nvars + 1)
+    stop = _first_zero_level(gens, max(p.degree() for p in gens) + 1, cap)
+    if stop is None:
+        raise AssertionError("tangent ideal colength past inv + g(n+1)")
+    return stop[0] - 2
 
 
 def determinacy_filtered(

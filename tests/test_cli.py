@@ -62,6 +62,19 @@ class TestParsing:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command,poly", [("regbasis", "x^2+y^3"), ("normalform", "x^3+y^4")])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_scan_bound_below_one_rejected(self, command, poly, bound):
+        # a scan to bound 0 checks no multiple, so it cannot report a verdict
+        code, out, err = invoke([command, "--scan-bound", bound, poly])
+        assert code == 1 and out == ""
+        assert "--scan-bound must be at least 1" in err
+
+    def test_scan_bound_one_accepted(self):
+        code, rep, _ = invoke_json(["regbasis", "--scan-bound", "1", "x^2+y^3"])
+        assert code == 0
+        assert rep["result"]["scan_bound"] == 1
+
     def test_missing_polynomial(self):
         code, _, _ = invoke(["mu", "--vars", "x,y"])
         assert code == 1

@@ -154,6 +154,12 @@ class TestRayCriterion:
         assert not rc.all_vanish
         assert rc.witness().direction == (0, 1)
 
+    @pytest.mark.parametrize("call", [ray_criterion, regular_basis])
+    def test_scan_bound_below_one_refused(self, call):
+        ring, f, Pw = t45()
+        with pytest.raises(ValueError, match="scan bound must be at least 1"):
+            call(Pw, f, Grading.TJURINA_EXPECTED, scan_bound=0)
+
 
 class TestConditions:
     def test_e33_contact_pair(self):

@@ -1,19 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from possing.grading import Grading, regular_basis
-from possing.localalg import milnor, tjurina
+from possing.localalg import LOCAL, milnor, min_power_containment, std_basis, tjurina
 from possing.newton import cpolytope_from_poly, cpolytope_from_weights, initial_form
 from possing.normalform import (
     NormalFormRefusal,
     determinacy_filtered,
     determinacy_generic,
+    _tangent_ideal_gens,
     normal_form,
     precondition_constant,
     replay_matches,
 )
-from possing.poly import Ring, poly_from_string
+from possing.poly import INFINITY, Ring, poly_from_string
 
 RQ = Ring(0, ("x", "y"))
 
@@ -142,3 +144,42 @@ class TestPreconditionConstant:
         right = precondition_constant(f, "right")
         contact = precondition_constant(f, "contact")
         assert contact <= right
+
+    @pytest.mark.parametrize(
+        "char,text,expected",
+        [
+            (0, "x^2*y^2", (INFINITY, INFINITY)),  # not isolated
+            (3, "x^3+y^4", (INFINITY, 3)),  # d/dx vanishes in char 3
+            (2, "x^2+y^3", (INFINITY, 2)),
+            (5, "x^5+y^6+x*y^4", (INFINITY, 5)),
+        ],
+    )
+    def test_right_and_contact_pairs(self, char, text, expected):
+        f = P(Ring(char, ("x", "y")), text)
+        assert (precondition_constant(f, "right"), precondition_constant(f, "contact")) == expected
+
+
+@st.composite
+def small_germs(draw):
+    """Germs of order >= 2 in 2 or 3 variables over Q, F_2, F_3 or F_5, from
+    up to four terms of degree <= 4, with or without pure powers; without
+    them they are often not isolated."""
+    char = draw(st.sampled_from([0, 2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    ring = Ring(char, ("x", "y", "z")[:n])
+    exponents = st.tuples(*[st.integers(0, 4)] * n).filter(lambda m: 2 <= sum(m) <= 4)
+    f = ring.poly(draw(st.lists(st.tuples(exponents, st.integers(1, 6)), max_size=4)))
+    if draw(st.booleans()):
+        for i, a in enumerate(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))):
+            f = f + ring.monomial(tuple(a if j == i else 0 for j in range(n)))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_germs(), st.sampled_from(["right", "contact"]))
+def test_precondition_constant_agrees_with_lazard(f, mode):
+    """The echelon route against the least power read off a local standard
+    basis of the tangent generators."""
+    gens = [g for g in _tangent_ideal_gens(f, mode) if not g.is_zero()]
+    c = min_power_containment(std_basis(gens, LOCAL)) if gens else INFINITY
+    assert precondition_constant(f, mode) == (INFINITY if c == INFINITY else max(c - 2, 0))
