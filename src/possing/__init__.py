@@ -9,14 +9,11 @@ forms with respect to right and contact equivalence.
 
 from possing.poly import Ring, Poly, Automorphism, INFINITY
 from possing.localalg import (
-    OrderingSpec,
     StandardBasis,
-    QuotientReport,
     std_basis,
     vdim,
     milnor,
     tjurina,
-    min_power_containment,
     saturate,
 )
 from possing.newton import (
@@ -60,14 +57,11 @@ __all__ = [
     "Poly",
     "Automorphism",
     "INFINITY",
-    "OrderingSpec",
     "StandardBasis",
-    "QuotientReport",
     "std_basis",
     "vdim",
     "milnor",
     "tjurina",
-    "min_power_containment",
     "saturate",
     "NewtonData",
     "CPolytope",

@@ -3,15 +3,12 @@
 Standard bases under the local degree order are completed by Lazard's
 homogenization: Buchberger runs on the homogenized generators under a
 degree-first order whose tie-break is the local order of the x-part, and
-the result dehomogenizes to a standard basis.  One division routine,
-`_reduce`, serves Buchberger and membership; membership is decided in the
-extension of the ideal to the formal power series ring, which is what
-Milnor/Tjurina numbers need, by division below the power of the maximal
-ideal that the ideal contains, or by comparing leading ideals when the
-quotient is infinite.  Saturation (used by the inner non-degeneracy test)
-is one global Buchberger run that eliminates the Rabinowitsch variable; no
-monomial order can refine a multi-facet piecewise degree, so nothing here
-is used for the graded algebras themselves.
+the result dehomogenizes to a standard basis.  The one thing read off it is
+the colength of the ideal in the formal power series ring, which gives the
+Milnor and Tjurina numbers.  Saturation (used by the inner non-degeneracy
+test) is one global Buchberger run that eliminates the Rabinowitsch
+variable; no monomial order can refine a multi-facet piecewise degree, so
+nothing here is used for the graded algebras themselves.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from possing.newton import _filtered_dims, cpolytope_from_weights
 from possing.poly import (
@@ -37,29 +34,6 @@ from possing.poly import (
 )
 
 
-@dataclass(frozen=True)
-class OrderingSpec:
-    """Monomial order: 'local' (1 above all variables) or 'global' degrevlex,
-    both with reverse-lexicographic tie-break."""
-
-    kind: str  # "local" | "global"
-
-    def __post_init__(self):
-        if self.kind not in ("local", "global"):
-            raise ValueError("ordering kind must be 'local' or 'global'")
-
-    @property
-    def is_local(self) -> bool:
-        return self.kind == "local"
-
-    def key(self) -> Callable[[Mono], object]:
-        return local_key if self.is_local else degrevlex_key
-
-
-LOCAL = OrderingSpec("local")
-GLOBAL = OrderingSpec("global")
-
-
 def leading_monomial(f: Poly, key) -> Mono:
     return max(f.terms, key=key)
 
@@ -69,18 +43,15 @@ def _monic(f: Poly, key) -> Poly:
     return f.scale(f.ring.cinv(f.terms[lm]))
 
 
-def _reduce(g: Poly, basis, lms, key, cutoff: Optional[int] = None) -> Poly:
+def _reduce(g: Poly, basis, lms, key) -> Poly:
     """Remainder of g under top-reduction by a monic basis.
 
     Each step cancels the remainder's leading term with the first basis
     element whose leading monomial (lms, in the basis order) divides it, and
-    stops when none does.  With a cutoff, every term of degree >= cutoff is
-    dropped after each step.  Without a cutoff this terminates under a
-    global order only.  With one it terminates under any order: the leading
-    monomial strictly falls, and finitely many monomials lie below the
-    cutoff.
+    stops when none does.  The leading monomial strictly falls, so this
+    terminates under the well-orders `_buchberger` runs with.
     """
-    h = g if cutoff is None else g.truncate(cutoff - 1)
+    h = g
     while not h.is_zero():
         lm_h = leading_monomial(h, key)
         for lm, b in zip(lms, basis):
@@ -89,52 +60,19 @@ def _reduce(g: Poly, basis, lms, key, cutoff: Optional[int] = None) -> Poly:
         else:
             break
         h = h - b.term_mul(mono_div(lm_h, lm), h.terms[lm_h])
-        if cutoff is not None:
-            h = h.truncate(cutoff - 1)
     return h
 
 
 @dataclass(frozen=True)
 class StandardBasis:
-    """Completed (standard or Groebner) basis with its leading data."""
+    """Local standard basis with its leading monomials."""
 
     generators: tuple  # monic Poly, minimalized
-    ordering: OrderingSpec
     leading_monomials: tuple  # one Mono per generator
 
     @property
     def ring(self) -> Ring:
         return self.generators[0].ring
-
-    def contains(self, g: Poly) -> bool:
-        """Membership of g in the ideal I (extended to the power series ring
-        for the local order).  Each branch is exact.
-
-        Global order: g lies in I exactly when its remainder under division
-        by the Groebner basis is zero.
-
-        Local order, finite quotient: let c = min_power_containment(self).
-        Then m^c lies in I, so I = I + m^c and L(I + m^c) = L(I) + m^c.
-        Division with every term of degree >= c dropped changes g only by
-        elements of I, so g - h lies in I for its remainder h.  A nonzero h
-        leads with a monomial outside L(I), so h is not in I.  Hence g lies
-        in I exactly when h is zero.
-
-        Local order, infinite quotient: I lies in J = I + <g>.  If the
-        leading ideals of I and J agree, a standard basis of I is one of J,
-        so it generates J and I = J (Greuel & Pfister, *A Singular
-        Introduction to Commutative Algebra*, 1.6-1.7).  So g lies in I
-        exactly when the standard basis of J has the leading monomials of
-        I; both lists are minimal and sorted, hence comparable as tuples.
-        """
-        key = self.ordering.key()
-        if not self.ordering.is_local:
-            return _reduce(g, self.generators, self.leading_monomials, key).is_zero()
-        cutoff = min_power_containment(self)
-        if cutoff == INFINITY:
-            wider = std_basis(self.generators + (g,), self.ordering)
-            return wider.leading_monomials == self.leading_monomials
-        return _reduce(g, self.generators, self.leading_monomials, key, cutoff).is_zero()
 
 
 def _buchberger(gens: list, key) -> list:
@@ -202,15 +140,13 @@ def _dehomogenize(ring: Ring, f: Poly) -> Poly:
     return Poly(ring, {m: c for m, c in acc.items() if c})
 
 
-def std_basis(gens: Iterable, ordering: OrderingSpec = LOCAL) -> StandardBasis:
-    """Completed basis under the given order.
+def std_basis(gens: Iterable) -> StandardBasis:
+    """Standard basis under the local degree order, by Lazard's method.
 
-    Global orders run Buchberger directly.  Local standard bases go
-    through homogenization: a Groebner basis of the homogenized
-    generators under a degree-first order whose tie-break is the local
-    order of the x-part dehomogenizes to a standard basis (Lazard's
-    method).  That route terminates structurally, unlike naive Mora
-    completion whose ecart strategy can blow up on tail-heavy input.
+    A Groebner basis of the homogenized generators under a degree-first
+    order whose tie-break is the local order of the x-part dehomogenizes to
+    a standard basis.  That route terminates structurally, unlike naive
+    Mora completion whose ecart strategy can blow up on tail-heavy input.
 
     Zero generators are dropped; at least one generator must be nonzero.
     The returned generators are monic with pairwise non-divisible leading
@@ -222,56 +158,36 @@ def std_basis(gens: Iterable, ordering: OrderingSpec = LOCAL) -> StandardBasis:
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingError("mixed ring contexts")
-    key = ordering.key()
-    if not ordering.is_local:
-        basis = _buchberger(gens, key)
-        kept = _minimalize(basis, key)
-        return StandardBasis(
-            generators=tuple(g for _, g in kept),
-            ordering=ordering,
-            leading_monomials=tuple(lm for lm, _ in kept),
-        )
     ring_t = _with_tag_variable(ring)
     lifted = [_homogenize(ring_t, g) for g in gens]
     homog_basis = _buchberger(lifted, _homog_key)
     basis = [_dehomogenize(ring, h) for h in homog_basis]
     basis = [g for g in basis if not g.is_zero()]
-    kept = _minimalize([_monic(g, key) for g in basis], key)
+    kept = _minimalize([_monic(g, local_key) for g in basis], local_key)
     return StandardBasis(
         generators=tuple(g for _, g in kept),
-        ordering=ordering,
         leading_monomials=tuple(lm for lm, _ in kept),
     )
 
 
-@dataclass(frozen=True)
-class QuotientReport:
-    """K-dimension of the quotient by a zero-dimensional-or-not leading ideal."""
+def vdim(sb: StandardBasis):
+    """Dimension of the local quotient ring: the number of standard monomials.
 
-    dimension: object  # int or INFINITY
-    standard_monomials: Optional[tuple]  # sorted ascending degrevlex; None if infinite
-
-
-def vdim(sb: StandardBasis) -> QuotientReport:
-    """Dimension of the local quotient ring, via counting standard monomials.
-
-    Infinite exactly when some variable has no pure power among the leading
+    INFINITY exactly when some variable has no pure power among the leading
     monomials (detected exactly, no timeout heuristics).
     """
-    n = sb.ring.nvars
     lms = sb.leading_monomials
     bounds = []
-    for i in range(n):
+    for i in range(sb.ring.nvars):
         pure = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
         if not pure:
-            return QuotientReport(INFINITY, None)
+            return INFINITY
         bounds.append(min(pure))
-    std = []
-    for expo in product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, expo) for lm in lms):
-            std.append(expo)
-    std.sort(key=degrevlex_key)
-    return QuotientReport(len(std), tuple(std))
+    return sum(
+        1
+        for expo in product(*(range(b) for b in bounds))
+        if not any(mono_divides(lm, expo) for lm in lms)
+    )
 
 
 def _require_in_max_ideal(f: Poly, who: str):
@@ -295,7 +211,7 @@ def milnor(f: Poly):
     gens = jacobian_ideal_gens(f)
     if not gens:
         return INFINITY
-    return vdim(std_basis(gens, LOCAL)).dimension
+    return vdim(std_basis(gens))
 
 
 def tjurina(f: Poly):
@@ -304,28 +220,7 @@ def tjurina(f: Poly):
     gens = tjurina_ideal_gens(f)
     if not gens:
         return INFINITY
-    return vdim(std_basis(gens, LOCAL)).dimension
-
-
-def min_power_containment(sb: StandardBasis):
-    """Smallest k with m^k inside the ideal; INFINITY if there is none.
-
-    Read off the standard monomials: k is one more than their largest
-    degree, and 0 when there are none (the unit ideal).  If m^k lies in I,
-    every monomial of degree >= k is a leading monomial of I, so no
-    standard monomial reaches degree k.  Conversely, let every standard
-    monomial have degree < k.  The local order is degree-compatible (lower
-    degree ranks higher), so for a nonzero combination h of standard
-    monomials and any r in m^k, h - r leads with a standard monomial and is
-    not in I: the standard monomials stay independent modulo I + m^k.  So
-    dim K[[x]]/(I + m^k) = dim K[[x]]/I, and m^k lies in I.
-    """
-    if not sb.ordering.is_local:
-        raise ValueError("min_power_containment needs a local standard basis")
-    report = vdim(sb)
-    if report.dimension == INFINITY:
-        return INFINITY
-    return max((sum(m) + 1 for m in report.standard_monomials), default=0)
+    return vdim(std_basis(gens))
 
 
 # -- global-order machinery for saturation -------------------------------------
@@ -359,8 +254,9 @@ def saturate(gens: Iterable, g: Poly) -> list:
     elimination order for t (t-degree first, degrevlex below) gives it:
     the t-free basis elements generate the intersection and form a
     degrevlex Groebner basis of it.  They are returned monic, minimalized
-    and sorted by leading monomial, as `std_basis(..., GLOBAL)` would.
-    Works in the polynomial ring, not the local ring.
+    and sorted by leading monomial: with g = 1 this is a minimal degrevlex
+    Groebner basis of the ideal itself.  Works in the polynomial ring, not
+    the local ring.
     """
     if g.is_zero():
         raise ValueError("cannot saturate by zero")

@@ -18,13 +18,12 @@ from typing import Optional
 
 from possing.grading import expected_grading
 from possing.localalg import (
-    LOCAL,
+    bruteforce_vdim,
     jacobian_ideal_gens,
     milnor,
     saturate,
-    std_basis,
     tjurina,
-    vdim,
+    tjurina_ideal_gens,
 )
 from possing.newton import (
     CPolytope,
@@ -231,19 +230,25 @@ def innd_check(f: Poly, P: CPolytope) -> INNDReport:
 def saito_check(f: Poly) -> bool:
     """Characteristic zero only: does the Milnor number equal the Tjurina number?
 
-    Computed both numerically and through membership of f in its own
-    Jacobian ideal, whose one standard basis also gives the Milnor number;
-    the two verdicts must agree.
+    mu == tau exactly when f lies in its Jacobian ideal J in K[[x]].  J lies
+    in J + <f>, and both have finite colength (mu is finite and tau <= mu),
+    so mu = tau + dim (J + <f>)/J.  Hence mu == tau exactly when
+    (J + <f>)/J is zero, that is, when f lies in J.
+
+    Both numbers are cross-checked against the truncated degree echelon,
+    which uses no standard basis.  Capping it at mu refuses neither value,
+    because tau <= mu; a disagreement is an AssertionError.
     """
     if f.ring.char != 0:
         raise ValueError("the Milnor==Tjurina criterion is a characteristic-zero test")
-    gens = jacobian_ideal_gens(f)
-    sb = std_basis(gens, LOCAL) if gens else None
-    mu = vdim(sb).dimension if sb is not None else INFINITY
+    mu = milnor(f)
     if mu == INFINITY:
         raise ValueError("requires an isolated singularity (finite Milnor number)")
     tau = tjurina(f)
-    member = sb.contains(f)
-    if (mu == tau) != member:
-        raise AssertionError("numeric and membership verdicts disagree")
+    oracle = (
+        bruteforce_vdim(jacobian_ideal_gens(f), mu),
+        bruteforce_vdim(tjurina_ideal_gens(f), mu),
+    )
+    if oracle != (mu, tau):
+        raise AssertionError("standard-basis and echelon colengths disagree")
     return mu == tau

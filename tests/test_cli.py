@@ -227,7 +227,7 @@ class TestDeterminism:
 
 class TestInternalFailures:
     @pytest.mark.parametrize(
-        "exc", [AssertionError("numeric and membership verdicts disagree"),
+        "exc", [AssertionError("standard-basis and echelon colengths disagree"),
                 AssertionError("residual escaped the quotient basis")])
     def test_internal_failure_exit_code(self, monkeypatch, exc):
         def fail(f):

@@ -194,3 +194,9 @@ def test_broad_handler_detector():
         "try:\n    pass\nexcept:\n    pass\n"
     )
     assert broad_handlers(source) == [(7, "Exception"), (11, "BaseException"), (15, "bare")]
+
+
+def test_all_names_are_package_attributes():
+    import possing
+
+    assert [name for name in possing.__all__ if not hasattr(possing, name)] == []

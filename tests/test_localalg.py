@@ -2,15 +2,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from possing.localalg import (
-    GLOBAL,
     INFINITY,
-    LOCAL,
-    StandardBasis,
+    _first_zero_level,
     bruteforce_local_dim,
     bruteforce_vdim,
     jacobian_ideal_gens,
+    leading_monomial,
     milnor,
-    min_power_containment,
     saturate,
     std_basis,
     tjurina,
@@ -19,8 +17,7 @@ from possing.localalg import (
 )
 from possing.grading import Grading, plain_graded_dims
 from possing.newton import cpolytope_from_weights
-from possing.normalform import _tangent_ideal_gens
-from possing.poly import Poly, Ring, poly_from_string
+from possing.poly import Ring, degrevlex_key, poly_from_string
 
 
 def P(ring, text):
@@ -33,35 +30,39 @@ R2 = Ring(2, ("x", "y"))
 
 class TestStdBasis:
     def test_already_a_basis(self):
-        sb = std_basis([RQ.poly([((1, 0), 2)]), RQ.poly([((0, 2), 3)])], LOCAL)
+        sb = std_basis([RQ.poly([((1, 0), 2)]), RQ.poly([((0, 2), 3)])])
         assert set(sb.leading_monomials) == {(1, 0), (0, 2)}
 
     def test_t45_jacobian_char2(self):
         f = P(R2, "x^5+x^2*y^2+y^4")
-        sb = std_basis(jacobian_ideal_gens(f), LOCAL)
+        sb = std_basis(jacobian_ideal_gens(f))
         assert sb.leading_monomials == ((4, 0),)
 
     def test_mixed_linear(self):
-        sb = std_basis([P(RQ, "x+y^2"), P(RQ, "y+x^2")], LOCAL)
+        sb = std_basis([P(RQ, "x+y^2"), P(RQ, "y+x^2")])
         assert set(sb.leading_monomials) == {(1, 0), (0, 1)}
 
     def test_input_generators_reduce_to_zero(self):
+        """Each input lies in the ideal the basis generates: the quotient is
+        finite, and adding the input keeps its dimension."""
         gens = [P(RQ, "x^3+y^3+x^2*y^2"), P(RQ, "3*x^2+2*x*y^2")]
-        sb = std_basis(gens, LOCAL)
-        assert all(sb.contains(g) for g in gens)
+        basis = list(std_basis(gens).generators)
+        dim = bruteforce_vdim(basis, 40)
+        assert dim != INFINITY
+        assert all(bruteforce_vdim(basis + [g], 40) == dim for g in gens)
 
 
 class TestVdim:
     def test_maximal_ideal(self):
-        assert vdim(std_basis([RQ.var(0), RQ.var(1)], LOCAL)).dimension == 1
+        assert vdim(std_basis([RQ.var(0), RQ.var(1)])) == 1
 
     def test_monomial_box(self):
-        sb = std_basis([P(RQ, "x^4"), P(RQ, "y^6")], LOCAL)
-        assert vdim(sb).dimension == 24
+        sb = std_basis([P(RQ, "x^4"), P(RQ, "y^6")])
+        assert vdim(sb) == 24
 
     def test_missing_pure_power_is_infinite(self):
-        sb = std_basis([P(RQ, "x^4")], LOCAL)
-        assert vdim(sb).dimension == INFINITY
+        sb = std_basis([P(RQ, "x^4")])
+        assert vdim(sb) == INFINITY
 
 
 class TestMilnorTjurina:
@@ -91,56 +92,18 @@ class TestMilnorTjurina:
 
 
 class TestMinPower:
+    """The least power of m inside an ideal: the first zero level of its
+    degree echelon."""
+
     def test_maximal_ideal(self):
-        assert min_power_containment(std_basis([RQ.var(0), RQ.var(1)], LOCAL)) == 1
+        assert _first_zero_level([RQ.var(0), RQ.var(1)], 2, 40) == (1, 1)
 
     def test_squares(self):
-        sb = std_basis([P(RQ, "x^2"), P(RQ, "y^2")], LOCAL)
-        assert min_power_containment(sb) == 3  # xy is not in the ideal
+        gens = [P(RQ, "x^2"), P(RQ, "y^2")]
+        assert _first_zero_level(gens, 2, 40) == (3, 4)  # xy is not in the ideal
 
     def test_infinite(self):
-        assert min_power_containment(std_basis([P(RQ, "x^4")], LOCAL)) == INFINITY
-
-
-class TestMembership:
-    def test_euler_formula(self):
-        f = P(RQ, "x^3+y^3")
-        sb = std_basis(jacobian_ideal_gens(f), LOCAL)
-        assert sb.contains(f)
-
-    def test_non_member(self):
-        R5 = Ring(5, ("x", "y"))
-        f = P(R5, "x^5+y^4")
-        sb = std_basis(jacobian_ideal_gens(f), LOCAL)
-        assert not sb.contains(f)
-
-    def test_variable_in_maximal_ideal(self):
-        sb = std_basis([RQ.var(0), RQ.var(1)], LOCAL)
-        assert sb.contains(RQ.var(0))
-
-    def test_member_of_infinite_quotient(self):
-        sb = std_basis([P(RQ, "y^3")], LOCAL)
-        assert vdim(sb).dimension == INFINITY
-        assert sb.contains(P(RQ, "y^3+x*y^3"))
-        assert not sb.contains(P(RQ, "y^2+x*y^3"))
-        assert not sb.contains(P(RQ, "x^12*y^2"))  # deep in m, not in I
-
-    def test_tail_heavy_member_over_q(self):
-        """f lies in its Jacobian ideal (mu = tau = 2); division stops below
-        the power of m that the ideal contains, however long the tails."""
-        f = P(RQ, "5*x^4*y^5+6*x^5*y^2+y^5+x^3*y+x^3+4*y^2")
-        fx, fy = jacobian_ideal_gens(f)
-        # The partials lead with x^2 and y and the quotient has dimension
-        # 2 = #{1, x}, so they already form a standard basis; std_basis
-        # takes close to a minute to confirm that over Q.
-        assert bruteforce_vdim([fx, fy], 4) == 2
-        sb = StandardBasis(
-            generators=(fy.scale(RQ.cinv(8)), fx.scale(RQ.cinv(3))),
-            ordering=LOCAL,
-            leading_monomials=((0, 1), (2, 0)),
-        )
-        assert sb.contains(f)
-        assert not sb.contains(RQ.var(0) + f)
+        assert _first_zero_level([P(RQ, "x^4")], 2, 40) is None
 
 
 class TestSaturate:
@@ -177,7 +140,7 @@ def test_vdim_agrees_with_bruteforce(char, terms, a, b):
     assume(not f.is_zero() and not f.constant_term())
     gens = jacobian_ideal_gens(f)
     assume(gens)
-    value = vdim(std_basis(gens, LOCAL)).dimension
+    value = vdim(std_basis(gens))
     cap = 40
     oracle = bruteforce_vdim(gens, cap)
     if value != INFINITY and value <= cap:
@@ -197,8 +160,8 @@ def test_vdim_invariant_under_variable_swap(char, terms):
     gens_s = jacobian_ideal_gens(swapped)
     assume(gens and gens_s)
     assert (
-        vdim(std_basis(gens, LOCAL)).dimension
-        == vdim(std_basis(gens_s, LOCAL)).dimension
+        vdim(std_basis(gens))
+        == vdim(std_basis(gens_s))
     )
 
 
@@ -230,6 +193,13 @@ class TestBruteforce:
         assert bruteforce_vdim([P(RQ, "x^4")], 40) == INFINITY
         assert bruteforce_vdim([P(RQ, "1+x")], 5) == 0
 
+    def test_tail_heavy_jacobian_over_q(self):
+        """The partials lead with x^2 and y, and the quotient is #{1, x}; a
+        local standard basis takes close to a minute to confirm that over Q."""
+        f = P(RQ, "5*x^4*y^5+6*x^5*y^2+y^5+x^3*y+x^3+4*y^2")
+        fx, fy = jacobian_ideal_gens(f)
+        assert bruteforce_vdim([fx, fy], 4) == 2
+
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -253,74 +223,11 @@ def test_bruteforce_dim_sums_degree_graded_dims(char, names, mode, cutoff, data)
     assert sum(graded) == bruteforce_local_dim(gens, cutoff)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([0, 2, 3, 5]),
-    small_polys,
-    st.integers(2, 4),
-    st.integers(2, 4),
-    st.sampled_from(["jacobian", "right", "contact"]),
-)
-def test_min_power_containment_agrees_with_bruteforce(char, terms, a, b, ideal):
-    """The read-off k is the least k with dim K[[x]]/(I + m^k) = dim K[[x]]/I."""
-    ring = Ring(char, ("x", "y"))
-    f = ring.monomial((a, 0)) + ring.monomial((0, b)) + ring.poly(
-        [(m, c) for m, c in terms if 2 <= sum(m) <= 4]
-    )
-    assume(not f.is_zero() and not f.constant_term())
-    gens = jacobian_ideal_gens(f) if ideal == "jacobian" else _tangent_ideal_gens(f, ideal)
-    gens = [g for g in gens if not g.is_zero()]
-    assume(gens)
-    sb = std_basis(gens, LOCAL)
-    dim = vdim(sb).dimension
-    assume(dim != INFINITY)
-    oracle = next(k for k in range(dim + 1) if bruteforce_local_dim(gens, k) == dim)
-    assert min_power_containment(sb) == oracle
-
-
 sat_polys = st.lists(
     st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(1, 4)),
     min_size=1,
     max_size=3,
 )
-
-
-def _combination(ring, q_terms, gens):
-    return sum((ring.poly(q) * gen for q, gen in zip(q_terms, gens)), ring.zero())
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([0, 2, 3, 5]),
-    small_polys,
-    st.one_of(st.none(), st.tuples(st.integers(2, 4), st.integers(2, 4))),
-    sat_polys,
-    st.lists(sat_polys, min_size=2, max_size=2),
-)
-def test_contains_agrees_with_truncation(char, terms, powers, g_terms, q_terms):
-    """Membership against truncated dimensions.  With a finite quotient, g
-    lies in I exactly when adding g keeps dim K[[x]]/(I + m^c) at the
-    contained power c.  With an infinite one, combinations of the generators
-    are members, and a difference at some cutoff c <= 11 refutes g."""
-    ring = Ring(char, ("x", "y"))
-    f = ring.poly([(m, c) for m, c in terms if 2 <= sum(m) <= 4])
-    if powers is not None:
-        f = f + ring.monomial((powers[0], 0)) + ring.monomial((0, powers[1]))
-    gens = jacobian_ideal_gens(f)
-    assume(gens)
-    sb = std_basis(gens, LOCAL)
-    g = ring.poly(g_terms)
-    cutoff = min_power_containment(sb)
-    if cutoff != INFINITY:
-        oracle = bruteforce_local_dim(gens + [g], cutoff) == bruteforce_local_dim(gens, cutoff)
-        assert sb.contains(g) == oracle
-        return
-    assert sb.contains(_combination(ring, q_terms, gens))
-    if any(
-        bruteforce_local_dim(gens + [g], c) != bruteforce_local_dim(gens, c)
-        for c in range(1, 12)
-    ):
-        assert not sb.contains(g)
 
 
 def _sympy_expr(p, xs):
@@ -333,30 +240,34 @@ def _sympy_expr(p, xs):
     )
 
 
+def _sympy_groebner(gens, char, xs):
+    """sympy's reduced grevlex Groebner basis of the ideal, over Q or F_p."""
+    import sympy
+
+    options = {"order": "grevlex"}
+    if char:
+        options["modulus"] = char
+    else:
+        options["domain"] = "QQ"
+    return sympy.groebner([_sympy_expr(p, xs) for p in gens], *xs, **options)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([0, 2, 3, 5]),
-    st.lists(sat_polys, min_size=1, max_size=3),
-    sat_polys,
-    st.lists(sat_polys, min_size=3, max_size=3),
-)
-def test_global_basis_agrees_with_sympy(char, gen_terms, g_terms, q_terms):
-    """Degrevlex leading ideals and membership against sympy's groebner."""
+@given(st.sampled_from([0, 2, 3, 5]), st.lists(sat_polys, min_size=1, max_size=3))
+def test_global_basis_agrees_with_sympy(char, gen_terms):
+    """Saturating by 1 gives a minimal degrevlex Groebner basis of the ideal:
+    its leading monomials are those of sympy's reduced basis, and each of
+    its generators lies in the ideal."""
     sympy = pytest.importorskip("sympy")
     ring = Ring(char, ("x", "y"))
     gens = [g for g in (ring.poly(terms) for terms in gen_terms) if not g.is_zero()]
     assume(gens)
     xs = sympy.symbols("x y")
-    options = {"order": "grevlex"}
-    if char:
-        options["modulus"] = char
-    oracle = sympy.groebner([_sympy_expr(p, xs) for p in gens], *xs, **options)
-    oracle_lms = {sympy.Poly(e, *xs).monoms(order="grevlex")[0] for e in oracle.exprs}
-    sb = std_basis(gens, GLOBAL)
-    assert set(sb.leading_monomials) == oracle_lms
-    g = ring.poly(g_terms)
-    assert sb.contains(g) == oracle.contains(_sympy_expr(g, xs))
-    assert sb.contains(_combination(ring, q_terms, gens))
+    oracle = _sympy_groebner(gens, char, xs)
+    oracle_lms = [sympy.Poly(e, *xs).monoms(order="grevlex")[0] for e in oracle.exprs]
+    basis = saturate(gens, ring.one())
+    assert sorted(leading_monomial(p, degrevlex_key) for p in basis) == sorted(oracle_lms)
+    assert all(oracle.contains(_sympy_expr(p, xs)) for p in basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,18 +279,20 @@ def test_global_basis_agrees_with_sympy(char, gen_terms, g_terms, q_terms):
 def test_saturate_is_the_saturation(char, gen_terms, g_expo):
     """I lies in I : g^inf, each result generator times a power of g lies in I,
     and the result is the unit ideal when a power of g lies in I."""
+    sympy = pytest.importorskip("sympy")
     ring = Ring(char, ("x", "y"))
     gens = [g for g in (ring.poly(terms) for terms in gen_terms) if not g.is_zero()]
     assume(gens)
     g = ring.monomial(g_expo)
     out = saturate(gens, g)
-    sat = std_basis(out, GLOBAL)
-    assert all(sat.contains(p) for p in gens)
-    ideal = std_basis(gens, GLOBAL)
+    xs = sympy.symbols("x y")
+    sat = _sympy_groebner(out, char, xs)
+    assert all(sat.contains(_sympy_expr(p, xs)) for p in gens)
+    ideal = _sympy_groebner(gens, char, xs)
     powers = [ring.one()]
     for _ in range(16):
         powers.append(powers[-1] * g)
     for s in out:
-        assert any(ideal.contains(gk * s) for gk in powers)
-    if any(ideal.contains(gk) for gk in powers):
+        assert any(ideal.contains(_sympy_expr(gk * s, xs)) for gk in powers)
+    if any(ideal.contains(_sympy_expr(gk, xs)) for gk in powers):
         assert out == [ring.one()]

@@ -1,8 +1,11 @@
+import io
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from possing import nondeg
+from possing.cli import run
 from possing.localalg import INFINITY, milnor, tjurina
 from possing.newton import cpolytope_from_poly
 from possing.nondeg import (
@@ -179,6 +182,37 @@ class TestSaito:
     def test_requires_isolated(self):
         with pytest.raises(ValueError):
             saito_check(P(RQ, "x^2"))
+
+    def test_oracle_disagreement_is_internal(self, monkeypatch):
+        """A wrong cross-check count raises AssertionError, and `classify`
+        reports it with exit code 3."""
+        monkeypatch.setattr(nondeg, "bruteforce_vdim", lambda gens, cap: cap + 1)
+        with pytest.raises(AssertionError):
+            saito_check(P(RQ, "x^3+y^3"))
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["classify", "--vars", "x,y", "x^3+y^3"], out=out, err=err) == 3
+        assert err.getvalue().startswith("error: internal: ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(4, 10),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3), min_size=1),
+)
+def test_saito_holds_for_quasihomogeneous(w1, w2, d, coeffs):
+    """Over Q a quasihomogeneous germ lies in its Jacobian ideal by the Euler
+    relation d*f = w1*x*f_x + w2*y*f_y, so mu == tau."""
+    support = [
+        (a, b)
+        for a in range(d + 1)
+        for b in range(d + 1)
+        if a * w1 + b * w2 == d and a + b >= 2
+    ]
+    f = RQ.poly(list(zip(support, coeffs)))
+    assume(not f.is_zero() and milnor(f) != INFINITY)
+    assert saito_check(f)
 
 
 @settings(max_examples=60, deadline=None)
