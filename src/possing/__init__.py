@@ -28,7 +28,6 @@ from possing.newton import (
     inner_faces,
 )
 from possing.grading import (
-    Grading,
     GradedPieceReport,
     RegularBasisResult,
     regular_basis,
@@ -72,7 +71,6 @@ __all__ = [
     "valuation",
     "initial_form",
     "inner_faces",
-    "Grading",
     "GradedPieceReport",
     "RegularBasisResult",
     "regular_basis",

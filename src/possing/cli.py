@@ -24,12 +24,7 @@ import sys
 import time
 from fractions import Fraction
 
-from possing.grading import (
-    ConditionFailure,
-    check_condition,
-    expected_grading,
-    regular_basis,
-)
+from possing.grading import ConditionFailure, check_condition, regular_basis
 from possing.localalg import milnor, tjurina
 from possing.newton import (
     PolytopeError,
@@ -231,7 +226,7 @@ def cmd_conditions(args, ring, f):
 
 def cmd_regbasis(args, ring, f):
     P, prov = build_polytope(args, ring, f)
-    rb = regular_basis(P, f, expected_grading(args.mode), scan_bound=args.scan_bound)
+    rb = regular_basis(P, f, args.mode, scan_bound=args.scan_bound)
     result = {"status": rb.status, "dimension": _jsonify(rb.dimension)}
     if rb.finite:
         result["basis"] = [
@@ -319,7 +314,7 @@ def cmd_normalform(args, ring, f):
 def cmd_determinacy(args, ring, f):
     P, prov = build_polytope(args, ring, f)
     fP = initial_form(P, f)
-    rb = regular_basis(P, fP, expected_grading(args.mode), scan_bound=args.scan_bound)
+    rb = regular_basis(P, fP, args.mode, scan_bound=args.scan_bound)
     result = {"generic_bound": _jsonify(determinacy_generic(f, args.mode))}
     if rb.finite:
         rep = determinacy_filtered(P, f, rb, args.mode)

@@ -3,12 +3,12 @@
 For a weight polytope P and f with v := v_P(f), the degree-d piece of the
 expected-valuation graded algebra is the span of the valuation-d monomials
 modulo the degree-d components of products xi*f with v_P(xi) + v >= d
-(Jacobian flavor; monomial derivations suffice) and additionally g*f with
-v_P(g) + v >= d (Tjurina flavor).  Only generators of exact complementary
-valuation can contribute to the degree-d component, so each piece is a
-finite exact linear-algebra problem.  No monomial order refines a
-multi-facet piecewise degree, which is why this is done by plain column
-reduction and not by standard bases.
+(mode 'right', Jacobian flavor; monomial derivations suffice) and
+additionally g*f with v_P(g) + v >= d (mode 'contact', Tjurina flavor).
+Only generators of exact complementary valuation can contribute to the
+degree-d component, so each piece is a finite exact linear-algebra
+problem.  No monomial order refines a multi-facet piecewise degree, which
+is why this is done by plain column reduction and not by standard bases.
 
 The plain (non-expected) graded algebras of the quotients by the Jacobian
 and Tjurina ideals are computed by a single echelon over all monomials of
@@ -26,15 +26,9 @@ the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from possing.localalg import (
-    jacobian_ideal_gens,
-    milnor,
-    tjurina,
-    tjurina_ideal_gens,
-)
+from possing.localalg import local_dimension, mode_ideal_gens
 from possing.newton import (
     CPolytope,
     _filtered_dims,
@@ -46,32 +40,6 @@ from possing.newton import (
     valuation_poly,
 )
 from possing.poly import INFINITY, Mono, Poly, degrevlex_key, local_key
-
-
-class Grading(Enum):
-    MILNOR = "milnor"
-    TJURINA = "tjurina"
-    MILNOR_EXPECTED = "milnor-expected"
-    TJURINA_EXPECTED = "tjurina-expected"
-
-    @property
-    def expected(self) -> bool:
-        return self in (Grading.MILNOR_EXPECTED, Grading.TJURINA_EXPECTED)
-
-    @property
-    def contact(self) -> bool:
-        return self in (Grading.TJURINA, Grading.TJURINA_EXPECTED)
-
-
-def expected_grading(mode: str) -> Grading:
-    """The expected grading of mode 'right' (Milnor) or 'contact' (Tjurina).
-
-    Any other mode string raises ValueError, so callers also use it as the
-    mode check.
-    """
-    if mode not in ("right", "contact"):
-        raise ValueError("mode must be 'right' or 'contact'")
-    return Grading.MILNOR_EXPECTED if mode == "right" else Grading.TJURINA_EXPECTED
 
 
 class ConditionFailure(ValueError):
@@ -100,11 +68,10 @@ class GradedPieceReport:
 class GradedAlgebra:
     """Piece cache plus cone-propagation kill cache for one (P, f, mode)."""
 
-    def __init__(self, P: CPolytope, f: Poly, mode: Grading):
+    def __init__(self, P: CPolytope, f: Poly, mode: str):
         if f.is_zero() or f.constant_term():
             raise ValueError("graded algebras need a nonzero f without constant term")
-        if not mode.expected:
-            raise ValueError("GradedAlgebra drives the expected-valuation modes")
+        mode_ideal_gens(f, mode)  # refuses an unknown mode
         self.P = P
         self.f = f
         self.mode = mode
@@ -120,12 +87,12 @@ class GradedAlgebra:
     def generators(self, t: int) -> list:
         """(label, product) for the image generators of valuation t.
 
-        ("mult", gamma) labels f*x^gamma (Tjurina flavor only) and
+        ("mult", gamma) labels f*x^gamma (contact mode only) and
         ("deriv", axis, beta) labels x^beta * d f / d x_axis.
         """
         P = self.P
         gens = []
-        if self.mode is Grading.TJURINA_EXPECTED and t >= 0:
+        if self.mode == "contact" and t >= 0:
             for gamma in monomials_of_valuation(P, t):
                 gens.append((("mult", gamma), self.f.term_mul(gamma, 1)))
         for axis, partial in enumerate(self.partials):
@@ -206,17 +173,10 @@ class GradedAlgebra:
 # -- plain graded algebras --------------------------------------------------------
 
 
-def _plain_gens(f: Poly, mode: Grading) -> list:
-    if mode is Grading.MILNOR:
-        return jacobian_ideal_gens(f)
-    if mode is Grading.TJURINA:
-        return tjurina_ideal_gens(f)
-    raise ValueError("plain mode expected")
-
-
-def plain_graded_dims(P: CPolytope, f: Poly, mode: Grading, dmax: int) -> list:
-    """Piece dimensions of the plain graded algebra for degrees 0..dmax."""
-    return _filtered_dims(P, f.ring, _plain_gens(f, mode), dmax)
+def plain_graded_dims(P: CPolytope, f: Poly, mode: str, dmax: int) -> list:
+    """Piece dimensions of the plain graded algebra of the quotient by the
+    Jacobian ('right') or Tjurina ('contact') ideal, for degrees 0..dmax."""
+    return _filtered_dims(P, f.ring, mode_ideal_gens(f, mode), dmax)
 
 
 @dataclass(frozen=True)
@@ -252,7 +212,7 @@ def _default_scan_bound(local_dim) -> int:
 def ray_criterion(
     P: CPolytope,
     f: Poly,
-    mode: Grading,
+    mode: str,
     scan_bound: Optional[int] = None,
     algebra: Optional[GradedAlgebra] = None,
 ) -> RayCriterionReport:
@@ -267,7 +227,7 @@ def ray_criterion(
         raise ValueError("scan bound must be at least 1, got %d" % scan_bound)
     alg = algebra if algebra is not None else GradedAlgebra(P, f, mode)
     if scan_bound is None:
-        scan_bound = _default_scan_bound(tjurina(f) if mode.contact else milnor(f))
+        scan_bound = _default_scan_bound(local_dimension(f, mode))
     rays = []
     for face in P.faces:
         if face.dimension != 0:
@@ -297,7 +257,7 @@ def ray_criterion(
 class RegularBasisResult:
     """Monomial basis of an expected-valuation graded algebra, or a witness."""
 
-    mode: Grading
+    mode: str  # "right" | "contact"
     status: str  # "finite" | "infinite"
     basis: tuple  # ((mono, valuation), ...) sorted by (valuation, degrevlex)
     dimension: object  # int or INFINITY
@@ -320,7 +280,7 @@ class RegularBasisResult:
 def regular_basis(
     P: CPolytope,
     f: Poly,
-    mode: Grading,
+    mode: str,
     scan_bound: Optional[int] = None,
     algebra: Optional[GradedAlgebra] = None,
 ) -> RegularBasisResult:
@@ -331,8 +291,6 @@ def regular_basis(
     at or past the sum of the ray kills is a shifted-cone translate of a
     kill.  Pieces are then computed only at degrees of unkilled candidates.
     """
-    if not mode.expected:
-        raise ValueError("regular bases concern the expected-valuation modes")
     alg = algebra if algebra is not None else GradedAlgebra(P, f, mode)
     rc = ray_criterion(P, f, mode, scan_bound=scan_bound, algebra=alg)
     if not rc.all_vanish:
@@ -398,11 +356,10 @@ def check_condition(
     number; mode 'contact' the Tjurina flavor against the Tjurina number.
     Exactness means finiteness with graded dimension equal to the local one.
     """
-    grmode = expected_grading(mode)
-    local_dim = tjurina(f) if grmode.contact else milnor(f)
+    local_dim = local_dimension(f, mode)
     if scan_bound is None:
         scan_bound = _default_scan_bound(local_dim)
-    rb = regular_basis(P, f, grmode, scan_bound=scan_bound)
+    rb = regular_basis(P, f, mode, scan_bound=scan_bound)
     if not rb.finite and local_dim != INFINITY and rb.witness_ray is None:
         raise AssertionError("finite local dimension but no witness ray found")
     return ConditionReport(

@@ -5,10 +5,12 @@ homogenization: Buchberger runs on the homogenized generators under a
 degree-first order whose tie-break is the local order of the x-part, and
 the result dehomogenizes to a standard basis.  The one thing read off it is
 the colength of the ideal in the formal power series ring, which gives the
-Milnor and Tjurina numbers.  Saturation (used by the inner non-degeneracy
-test) is one global Buchberger run that eliminates the Rabinowitsch
-variable; no monomial order can refine a multi-facet piecewise degree, so
-nothing here is used for the graded algebras themselves.
+Milnor and Tjurina numbers.  The choice between the two, by the mode
+'right' or 'contact', is made here and nowhere else (`mode_ideal_gens`).
+Saturation (used by the inner non-degeneracy test) is one global
+Buchberger run that eliminates the Rabinowitsch variable; no monomial
+order can refine a multi-facet piecewise degree, so nothing here is used
+for the graded algebras themselves.
 """
 
 from __future__ import annotations
@@ -190,11 +192,6 @@ def vdim(sb: StandardBasis):
     )
 
 
-def _require_in_max_ideal(f: Poly, who: str):
-    if f.constant_term():
-        raise ValueError("%s requires an input without constant term" % who)
-
-
 def jacobian_ideal_gens(f: Poly) -> list:
     return [p for p in (f.partial(i) for i in range(f.ring.nvars)) if not p.is_zero()]
 
@@ -205,22 +202,39 @@ def tjurina_ideal_gens(f: Poly) -> list:
     return gens
 
 
-def milnor(f: Poly):
-    """dim_K K[[x]]/<partials of f>; INFINITY when not an isolated singularity."""
-    _require_in_max_ideal(f, "milnor")
-    gens = jacobian_ideal_gens(f)
+def mode_ideal_gens(f: Poly, mode: str) -> list:
+    """Generators of the ideal of an equivalence: the Jacobian ideal for
+    'right', the Tjurina ideal for 'contact'.
+
+    The package's one mode check: any other mode raises ValueError.
+    """
+    if mode == "right":
+        return jacobian_ideal_gens(f)
+    if mode == "contact":
+        return tjurina_ideal_gens(f)
+    raise ValueError("mode must be 'right' or 'contact'")
+
+
+def local_dimension(f: Poly, mode: str):
+    """Colength of the ideal of mode in K[[x]] (see `mode_ideal_gens`): the
+    Milnor number for 'right', the Tjurina number for 'contact'."""
+    gens = mode_ideal_gens(f, mode)
+    if f.constant_term():
+        raise ValueError("%s requires an input without constant term"
+                         % ("milnor" if mode == "right" else "tjurina"))
     if not gens:
         return INFINITY
     return vdim(std_basis(gens))
+
+
+def milnor(f: Poly):
+    """dim_K K[[x]]/<partials of f>; INFINITY when not an isolated singularity."""
+    return local_dimension(f, "right")
 
 
 def tjurina(f: Poly):
     """dim_K K[[x]]/<f and its partials>."""
-    _require_in_max_ideal(f, "tjurina")
-    gens = tjurina_ideal_gens(f)
-    if not gens:
-        return INFINITY
-    return vdim(std_basis(gens))
+    return local_dimension(f, "contact")
 
 
 # -- global-order machinery for saturation -------------------------------------

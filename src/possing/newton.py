@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 from possing.poly import (
     INFINITY,
     Poly,
+    Ring,
     degrevlex_key,
     local_key,
 )
@@ -34,34 +35,11 @@ def _dot(w: Sequence, r: Sequence):
     return sum(a * b for a, b in zip(w, r))
 
 
-def _rref(rows: list, ncols: int) -> tuple:
-    """Reduced row echelon form over Q, pivoting in the first ncols columns.
-
-    Returns (rows, pivot_cols): row r < len(pivot_cols) is monic at
-    pivot_cols[r] and zero in every other pivot column; the rows past the
-    rank are zero in the first ncols columns.  Entries past ncols (a
-    right-hand side) are carried along.
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [x / inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-    return mat, pivots
-
-
 class _Echelon:
     """Sparse row echelon over the coefficient field with combo tracking.
+
+    The package's one exact elimination, also for the rational systems of
+    the polytope code.
 
     Columns are positions into a fixed monomial list (pivot preference
     order).  Pivot rows are monic at their pivot and support only columns
@@ -145,20 +123,45 @@ def _row_echelon(ring, cols: list, rows, track: bool):
     return ech, labels
 
 
+# coefficient arithmetic of the rational systems below; the variable is unused
+_QQ = Ring(0, ("q",))
+
+
+def _sparse(row) -> dict:
+    return {j: c for j, c in enumerate(row) if c}
+
+
 def _solve_unique(rows: list, rhs: list) -> Optional[list]:
-    """The solution of rows . x = rhs over Q when it exists and is unique, else None."""
+    """The solution of rows . x = rhs over Q when it exists and is unique, else None.
+
+    It does when the pivots of the rows augmented by rhs (column n) are the
+    columns 0..n-1; back-substitution on the monic pivot rows then gives it.
+    """
     n = len(rows[0])
-    mat, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)], n)
-    if len(pivots) < n or any(row[n] for row in mat[n:]):
+    ech = _Echelon(_QQ, track=False)
+    for row, b in zip(rows, rhs):
+        ech.add_row(_sparse(list(row) + [b]))
+    if sorted(ech.pivots) != list(range(n)):
         return None
-    return [mat[r][n] for r in range(n)]
+    sol = [Fraction(0)] * n
+    for col in reversed(range(n)):
+        row, _ = ech.pivots[col]
+        sol[col] = row.get(n, Fraction(0)) - sum(
+            c * sol[j] for j, c in row.items() if col < j < n)
+    return sol
+
+
+def _independent(vectors: list) -> list:
+    """The vectors outside the rational span of the ones before them."""
+    ech = _Echelon(_QQ, track=False)
+    return [v for v in vectors if ech.add_row(_sparse(v))]
 
 
 def _affine_rank(points: list) -> int:
     if not points:
         return -1
     base = points[0]
-    return len(_rref([[a - b for a, b in zip(p, base)] for p in points[1:]], len(base))[1])
+    return len(_independent([[a - b for a, b in zip(p, base)] for p in points[1:]]))
 
 
 def _primitive(v: Sequence) -> tuple:

@@ -16,10 +16,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from possing.grading import expected_grading
 from possing.localalg import (
     bruteforce_vdim,
     jacobian_ideal_gens,
+    local_dimension,
     milnor,
     saturate,
     tjurina,
@@ -28,9 +28,9 @@ from possing.localalg import (
 from possing.newton import (
     CPolytope,
     _dot,
+    _independent,
     _primitive,
     _region_vertices,
-    _rref,
     face_initial_form,
     inner_faces,
     weighted_initial_form,
@@ -69,7 +69,7 @@ def detect_qh(f: Poly) -> Optional[QHType]:
         raise ValueError("zero polynomial")
     support = sorted(f.support())
     n = f.ring.nvars
-    basis = [support[j] for j in _rref([list(c) for c in zip(*support)], len(support))[1]]
+    basis = _independent(support)
     rays = [
         _primitive(v)
         for v in _region_vertices(basis, n)
@@ -122,13 +122,12 @@ def sqh_check(f: Poly, w, mode: str) -> SQHReport:
     principal part has finite Milnor number the formula value equals it
     (and equals the Milnor number of f itself).
     """
-    expected_grading(mode)
     w = tuple(int(c) for c in w)
     if any(c <= 0 for c in w):
         raise ValueError("weights must be positive")
     principal = weighted_initial_form(f, w)
     degree = min(sum(a * b for a, b in zip(w, m)) for m in principal.terms)
-    inv = (milnor if mode == "right" else tjurina)(principal)
+    inv = local_dimension(principal, mode)
     formula = consistent = None
     if mode == "right" and inv != INFINITY:
         value = Fraction(1)

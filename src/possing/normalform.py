@@ -38,15 +38,13 @@ from possing.grading import (
     ConditionFailure,
     GradedAlgebra,
     RegularBasisResult,
-    expected_grading,
     regular_basis,
 )
 from possing.localalg import (
     _first_zero_level,
     jacobian_ideal_gens,
-    milnor,
-    tjurina,
-    tjurina_ideal_gens,
+    local_dimension,
+    mode_ideal_gens,
 )
 from possing.newton import CPolytope, _row_echelon, initial_form, valuation_poly
 from possing.poly import (
@@ -71,11 +69,10 @@ class DeterminacyReport:
 
 def determinacy_generic(f: Poly, mode: str) -> int:
     """The order-based determinacy bound from the local invariant alone."""
-    contact = expected_grading(mode).contact
-    inv = tjurina(f) if contact else milnor(f)
+    inv = local_dimension(f, mode)
     if inv == INFINITY:
         raise ConditionFailure("infinite %s invariant; not finitely determined"
-                               % ("Tjurina" if contact else "Milnor"))
+                               % ("Tjurina" if mode == "contact" else "Milnor"))
     return 2 * int(inv) - int(f.order()) + 2
 
 
@@ -116,11 +113,10 @@ def precondition_constant(f: Poly, mode: str):
       most inv + g(n+1).  A count past that cap is an internal error, never
       a verdict.
     """
-    contact = expected_grading(mode).contact
-    inv = tjurina(f) if contact else milnor(f)
+    inv = local_dimension(f, mode)
     if inv == INFINITY:
         return INFINITY
-    g = len(tjurina_ideal_gens(f) if contact else jacobian_ideal_gens(f))
+    g = len(mode_ideal_gens(f, mode))
     gens = _tangent_ideal_gens(f, mode)
     cap = int(inv) + g * (f.ring.nvars + 1)
     stop = _first_zero_level(gens, max(p.degree() for p in gens) + 1, cap)
@@ -139,7 +135,7 @@ def determinacy_filtered(
     is m times the least variable valuation (the valuation is concave, so
     its minimum over the degree simplex sits at a vertex).
     """
-    expected_grading(mode)
+    mode_ideal_gens(f, mode)  # refuses an unknown mode before any verdict
     if not basis.finite:
         raise ConditionFailure("infinite regular basis", witness=basis.witness_ray)
     d = max(valuation_poly(P, initial_form(P, f)), basis.max_valuation())
@@ -258,13 +254,12 @@ def normal_form(
     failure raises NormalFormRefusal carrying the witness ray) and the
     containment of a power of the maximal ideal in the tangent ideal of f.
     """
-    grmode = expected_grading(mode)
     if f.is_zero() or f.constant_term():
         raise ValueError("need a nonzero f without constant term")
     ring = f.ring
     fP = initial_form(P, f)
-    alg = GradedAlgebra(P, fP, grmode)
-    basis = regular_basis(P, fP, grmode, scan_bound=scan_bound, algebra=alg)
+    alg = GradedAlgebra(P, fP, mode)
+    basis = regular_basis(P, fP, mode, scan_bound=scan_bound, algebra=alg)
     if not basis.finite:
         raise NormalFormRefusal(
             "graded algebra of the principal part is infinite-dimensional",

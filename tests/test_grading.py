@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from possing.grading import (
     GradedAlgebra,
-    Grading,
     check_condition,
     plain_graded_dims,
     ray_criterion,
@@ -43,30 +42,30 @@ def t45():
 class TestGradedPiece:
     def test_degree_zero_survivor(self):
         ring, f, Pw = q10()
-        piece = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED).piece(0)
+        piece = GradedAlgebra(Pw, f, "contact").piece(0)
         assert piece.quotient_basis == ((0, 0, 0),)
 
     def test_principal_level_fully_covered(self):
         ring, f, Pw = q10()
-        piece = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED).piece(24)
+        piece = GradedAlgebra(Pw, f, "contact").piece(24)
         assert piece.quotient_basis == ()
 
     def test_qh_expected_equals_plain(self):
         ring = Ring(5, ("x", "y"))
         f = P(ring, "x^3+y^3")
         Pw = cpolytope_from_poly(f)
-        dims_plain = plain_graded_dims(Pw, f, Grading.MILNOR, 14)
-        alg = GradedAlgebra(Pw, f, Grading.MILNOR_EXPECTED)
+        dims_plain = plain_graded_dims(Pw, f, "right", 14)
+        alg = GradedAlgebra(Pw, f, "right")
         assert dims_plain == [alg.piece(d).dimension for d in range(15)]
 
     def test_negative_degree_rejected(self):
         ring, f, Pw = q10()
         with pytest.raises(ValueError):
-            GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED).piece(-1)
+            GradedAlgebra(Pw, f, "contact").piece(-1)
 
     def test_t45_high_survivors(self):
         ring, f, Pw = t45()
-        alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+        alg = GradedAlgebra(Pw, f, "contact")
         for n in (4, 5, 6):
             piece = alg.piece(20 * n)
             assert (0, 4 * n) in piece.quotient_basis
@@ -75,21 +74,21 @@ class TestGradedPiece:
 class TestRegularBasis:
     def test_q10_sixteen(self):
         ring, f, Pw = q10()
-        rb = regular_basis(Pw, f, Grading.TJURINA_EXPECTED)
+        rb = regular_basis(Pw, f, "contact")
         assert rb.finite and rb.dimension == 16
         assert rb.max_valuation() == 35
         assert (1, 1, 3) in rb.monomials()  # xyz^3 at the top
 
     def test_e33_twentytwo(self):
         ring, f, Pw = e33()
-        rb = regular_basis(Pw, f, Grading.TJURINA_EXPECTED)
+        rb = regular_basis(Pw, f, "contact")
         assert rb.finite and rb.dimension == 22
         monos = set(rb.monomials())
         assert (12, 0) in monos and (2, 4) in monos and (13, 0) not in monos
 
     def test_t45_infinite_with_witness(self):
         ring, f, Pw = t45()
-        rb = regular_basis(Pw, f, Grading.TJURINA_EXPECTED)
+        rb = regular_basis(Pw, f, "contact")
         assert not rb.finite
         assert rb.dimension == INFINITY
         assert rb.witness_ray.direction == (0, 1)
@@ -98,13 +97,13 @@ class TestRegularBasis:
 class TestVanishes:
     def test_e33_vanishing_monomials(self):
         ring, f, Pw = e33()
-        alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+        alg = GradedAlgebra(Pw, f, "contact")
         for m in ((15, 0), (0, 15), (9, 6)):
             assert alg.vanishes(m, use_cone=False)
 
     def test_e33_surviving_monomial(self):
         ring, f, Pw = e33()
-        alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+        alg = GradedAlgebra(Pw, f, "contact")
         assert not alg.vanishes((1, 3), use_cone=False)
 
     def test_tpq_char_divides_p(self):
@@ -112,14 +111,14 @@ class TestVanishes:
         ring = Ring(5, ("x", "y"))
         f = ring.poly([((5, 0), 1), ((2, 2), 1), ((0, 7), 1)])
         Pw = cpolytope_from_poly(f)
-        alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+        alg = GradedAlgebra(Pw, f, "contact")
         assert alg.vanishes((2, 2), use_cone=False)
 
     def test_cone_propagation_consistent(self):
         ring = Ring(5, ("x", "y"))
         f = ring.poly([((5, 0), 1), ((2, 2), 1), ((0, 7), 1)])
         Pw = cpolytope_from_poly(f)
-        alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+        alg = GradedAlgebra(Pw, f, "contact")
         assert alg.vanishes((2, 2), use_cone=False)
         alg.record_kill((2, 2))
         # alpha = beta = (2,2) share the vertex cone
@@ -132,14 +131,14 @@ class TestVanishes:
             ring = Ring(char, ("x", "y"))
             f = ring.poly([((5, 0), 1), ((2, 2), 1), ((0, 7), 1)])
             Pw = cpolytope_from_poly(f)
-            alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+            alg = GradedAlgebra(Pw, f, "contact")
             assert alg.vanishes((5, 0), use_cone=False) == expect
 
 
 class TestRayCriterion:
     def test_e33_witness_points(self):
         ring, f, Pw = e33()
-        rc = ray_criterion(Pw, f, Grading.TJURINA_EXPECTED)
+        rc = ray_criterion(Pw, f, "contact")
         assert rc.all_vanish
         hits = {r.direction: r.first_vanishing for r in rc.rays}
         # the scan returns first kills; the known zero classes x^15, y^15,
@@ -150,7 +149,7 @@ class TestRayCriterion:
 
     def test_t45_failing_ray(self):
         ring, f, Pw = t45()
-        rc = ray_criterion(Pw, f, Grading.TJURINA_EXPECTED, scan_bound=24)
+        rc = ray_criterion(Pw, f, "contact", scan_bound=24)
         assert not rc.all_vanish
         assert rc.witness().direction == (0, 1)
 
@@ -158,7 +157,7 @@ class TestRayCriterion:
     def test_scan_bound_below_one_refused(self, call):
         ring, f, Pw = t45()
         with pytest.raises(ValueError, match="scan bound must be at least 1"):
-            call(Pw, f, Grading.TJURINA_EXPECTED, scan_bound=0)
+            call(Pw, f, "contact", scan_bound=0)
 
 
 class TestConditions:
@@ -205,7 +204,7 @@ def test_graded_product_rule(char, a, b, extra):
         Pw = cpolytope_from_poly(f)
     except Exception:
         assume(False)
-    alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
+    alg = GradedAlgebra(Pw, f, "contact")
     u, v = (1, 1), (a - 1, 1)
     s = tuple(x + y for x, y in zip(u, v))
     if Pw.value(s) == Pw.value(u) + Pw.value(v):
@@ -217,8 +216,8 @@ def test_graded_product_rule(char, a, b, extra):
 def test_expected_image_inside_plain_image():
     """The expected-valuation image never exceeds the plain one, piecewise."""
     ring, f, Pw = e33()
-    alg = GradedAlgebra(Pw, f, Grading.TJURINA_EXPECTED)
-    dims_plain = plain_graded_dims(Pw, f, Grading.TJURINA, 130)
+    alg = GradedAlgebra(Pw, f, "contact")
+    dims_plain = plain_graded_dims(Pw, f, "contact", 130)
     for d in range(131):
         assert dims_plain[d] <= alg.piece(d).dimension
 
@@ -226,5 +225,5 @@ def test_expected_image_inside_plain_image():
 def test_graded_dimension_bounds_local_one():
     # finite graded dimension always dominates the local invariant
     ring, f, Pw = e33()
-    rb = regular_basis(Pw, f, Grading.TJURINA_EXPECTED)
+    rb = regular_basis(Pw, f, "contact")
     assert tjurina(f) <= rb.dimension

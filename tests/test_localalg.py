@@ -8,15 +8,30 @@ from possing.localalg import (
     bruteforce_vdim,
     jacobian_ideal_gens,
     leading_monomial,
+    local_dimension,
     milnor,
+    mode_ideal_gens,
     saturate,
     std_basis,
     tjurina,
     tjurina_ideal_gens,
     vdim,
 )
-from possing.grading import Grading, plain_graded_dims
-from possing.newton import cpolytope_from_weights
+from possing.grading import (
+    GradedAlgebra,
+    check_condition,
+    plain_graded_dims,
+    ray_criterion,
+    regular_basis,
+)
+from possing.newton import cpolytope_from_poly, cpolytope_from_weights
+from possing.nondeg import sqh_check
+from possing.normalform import (
+    determinacy_filtered,
+    determinacy_generic,
+    normal_form,
+    precondition_constant,
+)
 from possing.poly import Ring, degrevlex_key, poly_from_string
 
 
@@ -89,6 +104,37 @@ class TestMilnorTjurina:
     def test_rejects_units(self):
         with pytest.raises(ValueError):
             milnor(P(RQ, "1+x"))
+
+
+MODE_F = P(RQ, "x^3+y^4")
+MODE_P = cpolytope_from_poly(MODE_F)
+MODE_ENTRY_POINTS = {
+    "GradedAlgebra": lambda mode: GradedAlgebra(MODE_P, MODE_F, mode),
+    "regular_basis": lambda mode: regular_basis(MODE_P, MODE_F, mode),
+    "ray_criterion": lambda mode: ray_criterion(MODE_P, MODE_F, mode),
+    "plain_graded_dims": lambda mode: plain_graded_dims(MODE_P, MODE_F, mode, 6),
+    "check_condition": lambda mode: check_condition(MODE_P, MODE_F, mode, strict=True),
+    "determinacy_generic": lambda mode: determinacy_generic(MODE_F, mode),
+    "determinacy_filtered": lambda mode: determinacy_filtered(
+        MODE_P, MODE_F, regular_basis(MODE_P, MODE_F, "contact"), mode),
+    "precondition_constant": lambda mode: precondition_constant(MODE_F, mode),
+    "normal_form": lambda mode: normal_form(MODE_P, MODE_F, mode),
+    "sqh_check": lambda mode: sqh_check(MODE_F, (4, 3), mode),
+    "mode_ideal_gens": lambda mode: mode_ideal_gens(MODE_F, mode),
+    "local_dimension": lambda mode: local_dimension(MODE_F, mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["right", "contact", "Contact", "milnor"])
+@pytest.mark.parametrize("entry", sorted(MODE_ENTRY_POINTS))
+def test_mode_check(entry, mode):
+    """Every public entry point taking a mode accepts exactly 'right' and 'contact'."""
+    call = MODE_ENTRY_POINTS[entry]
+    if mode in ("right", "contact"):
+        call(mode)
+    else:
+        with pytest.raises(ValueError, match="^mode must be 'right' or 'contact'$"):
+            call(mode)
 
 
 class TestMinPower:
@@ -205,7 +251,7 @@ class TestBruteforce:
 @given(
     st.sampled_from([0, 2, 3, 5]),
     st.sampled_from([("x", "y"), ("x", "y", "z")]),
-    st.sampled_from([Grading.MILNOR, Grading.TJURINA]),
+    st.sampled_from(["right", "contact"]),
     st.integers(0, 8),
     st.data(),
 )
@@ -216,7 +262,7 @@ def test_bruteforce_dim_sums_degree_graded_dims(char, names, mode, cutoff, data)
     monos = st.tuples(*[st.integers(0, 4)] * len(names))
     terms = data.draw(st.lists(st.tuples(monos, st.integers(1, 6)), min_size=1, max_size=4))
     f = ring.poly([(m, c) for m, c in terms if sum(m) >= 1])
-    gens = jacobian_ideal_gens(f) if mode is Grading.MILNOR else tjurina_ideal_gens(f)
+    gens = jacobian_ideal_gens(f) if mode == "right" else tjurina_ideal_gens(f)
     assume(gens)
     P_deg = cpolytope_from_weights([(1,) * len(names)])
     graded = plain_graded_dims(P_deg, f, mode, cutoff - 1)

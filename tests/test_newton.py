@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from possing.newton import (
     CPolytope,
-    _Echelon,
+    _independent,
     _lattice_sweep,
-    _rref,
     _solve_unique,
     PolytopeError,
     cpolytope_from_poly,
@@ -219,7 +218,7 @@ def oracle_facets(support, n):
         if c <= 0 or min(values) < c:
             continue
         tight = tuple(sorted(p for p, v in zip(minimal, values) if v == c))
-        if len(_rref([[a - b for a, b in zip(p, tight[0])] for p in tight[1:]], n)[1]) == n - 1:
+        if minor_rank([[a - b for a, b in zip(p, tight[0])] for p in tight[1:]]) == n - 1:
             facets[(w, c)] = tight
     return sorted(facets.items())
 
@@ -391,13 +390,39 @@ def test_monomials_of_valuation_complete(ws, d, data):
     assert _lattice_sweep(Pw, lo, d, shifts) == box_filter(Pw, shifts, lo, d)
 
 
-def exact_rank(rows) -> int:
-    """Rank by the sparse echelon, so the dense and sparse eliminations
-    check each other."""
-    ech = _Echelon(RQ, track=False)
-    for row in rows:
-        ech.add_row({c: Fraction(v) for c, v in enumerate(row) if v})
-    return ech.rank
+def det(mat) -> Fraction:
+    """Determinant by Laplace expansion along the first row."""
+    if not mat:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * Fraction(mat[0][j]) * det([row[:j] + row[j + 1:] for row in mat[1:]])
+        for j in range(len(mat))
+    )
+
+
+def minor_rank(rows) -> int:
+    """Rank as the size of the largest nonzero minor: no elimination at all."""
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), ncols), 0, -1):
+        for ri in combinations(range(len(rows)), k):
+            for ci in combinations(range(ncols), k):
+                if det([[rows[r][c] for c in ci] for r in ri]):
+                    return k
+    return 0
+
+
+def cramer(rows, rhs) -> list:
+    """The solution of a system of rank n = len(rows[0]) by Cramer's rule on
+    n rows with a nonzero determinant."""
+    n = len(rows[0])
+    ri = next(ri for ri in combinations(range(len(rows)), n)
+              if det([rows[r] for r in ri]))
+    square = [list(rows[r]) for r in ri]
+    d = det(square)
+    return [
+        det([row[:j] + [rhs[r]] + row[j + 1:] for r, row in zip(ri, square)]) / d
+        for j in range(n)
+    ]
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -409,17 +434,18 @@ small_matrices = st.integers(1, 4).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(small_matrices, st.data())
 def test_dense_kernel(rows, data):
-    """Rank and unique solutions of the exact row reduction."""
+    """Rank and unique solutions of the exact row reduction, against minors
+    and Cramer's rule."""
     n = len(rows[0])
     rhs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-    _, pivots = _rref(rows, n)
-    assert len(pivots) == exact_rank(rows)
+    assert len(_independent(rows)) == minor_rank(rows)
     augmented = [row + [b] for row, b in zip(rows, rhs)]
-    unique = exact_rank(rows) == n and exact_rank(augmented) == n
+    unique = minor_rank(rows) == n and minor_rank(augmented) == n
     sol = _solve_unique(rows, rhs)
     assert (sol is not None) == unique
     if sol is not None:
-        assert all(sum(a * x for a, x in zip(row, sol)) == b for row, b in zip(rows, rhs))
+        assert sol == cramer(rows, rhs)
+        assert all(isinstance(x, Fraction) for x in sol)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from possing.grading import Grading, regular_basis
+from possing.grading import regular_basis
 from possing.localalg import milnor, std_basis, tjurina
 from possing.newton import cpolytope_from_poly, cpolytope_from_weights, initial_form
 from possing.normalform import (
@@ -54,7 +54,7 @@ class TestDeterminacyGeneric:
 class TestDeterminacyFiltered:
     def test_q10(self):
         ring, f, Pw = q10_setup()
-        rb = regular_basis(Pw, f, Grading.TJURINA_EXPECTED)
+        rb = regular_basis(Pw, f, "contact")
         rep = determinacy_filtered(Pw, f, rb, "contact")
         assert rep.max_valuation == 35
         assert rep.filtered_bound == 5
@@ -63,7 +63,7 @@ class TestDeterminacyFiltered:
         R3 = Ring(3, ("x", "y"))
         f = P(R3, "x^12+x^3*y^2+y^3")
         Pw = cpolytope_from_poly(f)
-        rb = regular_basis(Pw, f, Grading.TJURINA_EXPECTED)
+        rb = regular_basis(Pw, f, "contact")
         rep = determinacy_filtered(Pw, f, rb, "contact")
         assert rep.max_valuation == 112
         assert rep.filtered_bound == 18
@@ -74,7 +74,7 @@ class TestDeterminacyFiltered:
             ring = Ring(char, ("x", "y"))
             f = ring.poly([((p, 0), 1), ((2, 2), 1), ((0, q), 1)])
             Pw = cpolytope_from_poly(f)
-            rb = regular_basis(Pw, f, Grading.TJURINA_EXPECTED)
+            rb = regular_basis(Pw, f, "contact")
             rep = determinacy_filtered(Pw, f, rb, "contact")
             assert rep.filtered_bound == max(p, q)
 
