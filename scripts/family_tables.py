@@ -35,10 +35,10 @@ def row(family, char, f, P, pert_text):
     # one report gives both verdicts: exactness is finiteness plus a count
     rep = check_condition(P, f, "contact", strict=True, scan_bound=40)
     mu, tau = milnor(f), rep.local_dimension
-    finite = rep.graded_dimension != INFINITY
+    finite = rep.basis.finite
     generic = fmt(determinacy_generic(f, "contact") if tau != INFINITY else INFINITY)
     if finite:
-        det = determinacy_filtered(P, f, rep.basis, "contact")
+        det = determinacy_filtered(f, rep.basis)
         bound = str(det.filtered_bound)
         pert = f + poly_from_string(f.ring, pert_text) if pert_text else f
         try:
@@ -49,7 +49,7 @@ def row(family, char, f, P, pert_text):
     else:
         bound = "-"
         nftext = "(condition fails: ray %s)" % (
-            list(rep.witness_ray.direction) if rep.witness_ray else "?",
+            list(rep.basis.witness_ray.direction) if rep.basis.witness_ray else "?",
         )
     print(
         "%-10s char %2d | mu %-4s tau %-4s | finite %-5s exact %-5s | k %-3s (generic %-4s) | %s"

@@ -213,13 +213,13 @@ def cmd_conditions(args, ring, f):
         # one regular basis per mode: exactness is finiteness plus a count
         rep = check_condition(P, f, mode, strict=True, scan_bound=args.scan_bound)
         finite_key, exact_key = mode + "_graded_finite", mode + "_graded_exact"
-        out[finite_key] = rep.graded_dimension != INFINITY
+        out[finite_key] = rep.basis.finite
         out[local_name] = _jsonify(rep.local_dimension)
-        out["dim_gr_" + mode] = _jsonify(rep.graded_dimension)
-        if rep.witness_ray is not None:
+        out["dim_gr_" + mode] = _jsonify(rep.basis.dimension)
+        if rep.basis.witness_ray is not None:
             witnesses = out.setdefault("witness_rays", {})
             for key in (finite_key, exact_key):
-                witnesses[key] = list(rep.witness_ray.direction)
+                witnesses[key] = list(rep.basis.witness_ray.direction)
         out[exact_key] = rep.holds
     return out, prov
 
@@ -317,7 +317,7 @@ def cmd_determinacy(args, ring, f):
     rb = regular_basis(P, fP, args.mode, scan_bound=args.scan_bound)
     result = {"generic_bound": _jsonify(determinacy_generic(f, args.mode))}
     if rb.finite:
-        rep = determinacy_filtered(P, f, rb, args.mode)
+        rep = determinacy_filtered(f, rb)
         result.update(
             {
                 "filtered_bound": rep.filtered_bound,

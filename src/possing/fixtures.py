@@ -82,9 +82,9 @@ def checks_criterion_1() -> List[CheckResult]:
     _check(out, 1, "tau = 16", tau == 16, "tau=%s" % tau)
     rep = check_condition(P, f, "contact", strict=False)
     _check(out, 1, "contact graded finiteness fails", not rep.holds)
-    witness = rep.witness_ray.direction if rep.witness_ray else None
+    witness = rep.basis.witness_ray.direction if rep.basis.witness_ray else None
     _check(out, 1, "witness ray is the y-axis", witness == (0, 1), "witness=%s" % (witness,))
-    alg = GradedAlgebra(P, f, "contact")
+    alg = rep.basis.algebra
     for n in (4, 5, 6):
         survives = not alg.vanishes((0, 4 * n), use_cone=False)
         _check(out, 1, "y^%d survives in the graded algebra" % (4 * n), survives)
@@ -117,7 +117,7 @@ def checks_criterion_2() -> List[CheckResult]:
            "got=%s" % got)
     _check(out, 2, "max basis valuation is 35", rb.max_valuation() == 35,
            str(rb.max_valuation()))
-    det = determinacy_filtered(P, f, rb, "contact")
+    det = determinacy_filtered(f, rb)
     _check(out, 2, "filtered contact determinacy is 5", det.filtered_bound == 5,
            "k=%s" % det.filtered_bound)
     return out
@@ -145,15 +145,15 @@ def checks_criterion_3() -> List[CheckResult]:
     got = sorted(_mono_str(R.names, m) for m in rb.monomials())
     _check(out, 3, "regular basis is the 22 listed monomials",
            got == sorted(E33_BASIS), "got=%s" % got)
-    _check(out, 3, "contact graded finiteness holds", exact.graded_dimension != INFINITY)
+    _check(out, 3, "contact graded finiteness holds", rb.finite)
     _check(out, 3, "contact graded exactness fails", not exact.holds,
-           "dim=%s tau=%s" % (exact.graded_dimension, exact.local_dimension))
+           "dim=%s tau=%s" % (rb.dimension, tau))
     g = f + poly_from_string(R, "x*y^3+2*x^2*y^4+x^10*y")
     nf = normal_form(P, g, "contact")
     allowed = {(1, 3), (2, 3), (2, 4)}
     _check(out, 3, "normal-form tail within {xy^3, x^2y^3, x^2y^4}",
            set(nf.tail_support()) <= allowed, str(nf.tail_support()))
-    det = determinacy_filtered(P, g, rb, "contact")
+    det = determinacy_filtered(g, rb)
     _check(out, 3, "filtered determinacy 18", det.filtered_bound == 18,
            "k=%s" % det.filtered_bound)
     generic = determinacy_generic(f, "contact")
@@ -210,7 +210,7 @@ def checks_criterion_4() -> List[CheckResult]:
             rb = regular_basis(P, f, "contact")
             _check(out, 4, label + ": contact graded algebra finite", rb.finite)
             if rb.finite:
-                det = determinacy_filtered(P, f, rb, "contact")
+                det = determinacy_filtered(f, rb)
                 _check(out, 4, label + ": contact determinacy max{p,q}",
                        det.filtered_bound == max(p, q), "k=%s" % det.filtered_bound)
                 pert = f + f.ring.monomial((3, 3))
@@ -304,7 +304,7 @@ def checks_criterion_7() -> List[CheckResult]:
         _check(out, 7, label + ": tau of the principal part = %d" % tau_expected,
                tau == tau_expected, "tau=%s" % tau)
         rb = regular_basis(P, f, "contact")
-        det = determinacy_filtered(P, f, rb, "contact")
+        det = determinacy_filtered(f, rb)
         _check(out, 7, label + ": filtered contact determinacy %d" % k_expected,
                det.filtered_bound == k_expected,
                "k=%s d=%s" % (det.filtered_bound, det.max_valuation))
@@ -588,7 +588,7 @@ def suite_truncation_stability(cases: int = 200) -> CheckResult:
 
     def trial(rng):
         ring, P, rb, g = _perturbed_pool_member(rng)
-        k = determinacy_filtered(P, g, rb, "contact").filtered_bound
+        k = determinacy_filtered(g, rb).filtered_bound
         try:
             base = normal_form(P, g, "contact")
             cut = normal_form(P, g.truncate(k), "contact")

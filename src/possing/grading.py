@@ -194,6 +194,7 @@ class RayReport:
 class RayCriterionReport:
     rays: tuple
     all_vanish: bool
+    scan_bound: int  # the bound every ray was scanned to
 
     def witness(self) -> Optional[RayReport]:
         for r in self.rays:
@@ -209,27 +210,21 @@ def _default_scan_bound(local_dim) -> int:
     return max(16, 4 * int(local_dim))
 
 
-def ray_criterion(
-    P: CPolytope,
-    f: Poly,
-    mode: str,
-    scan_bound: Optional[int] = None,
-    algebra: Optional[GradedAlgebra] = None,
-) -> RayCriterionReport:
-    """Scan each vertex ray for a vanishing lattice monomial.
+def ray_criterion(alg: GradedAlgebra, scan_bound: Optional[int] = None) -> RayCriterionReport:
+    """Scan each vertex ray of alg's polytope for a vanishing lattice monomial.
 
     Finiteness of the graded algebra is equivalent to every such ray
     carrying a vanishing monomial; a scan that finds none up to the bound
-    reports the ray as a witness.  A scan bound below 1 checks no multiple
-    and is refused with ValueError.
+    reports the ray as a witness.  The default bound comes from the local
+    invariant of alg's mode.  A scan bound below 1 checks no multiple and
+    is refused with ValueError.
     """
     if scan_bound is not None and scan_bound < 1:
         raise ValueError("scan bound must be at least 1, got %d" % scan_bound)
-    alg = algebra if algebra is not None else GradedAlgebra(P, f, mode)
     if scan_bound is None:
-        scan_bound = _default_scan_bound(local_dimension(f, mode))
+        scan_bound = _default_scan_bound(local_dimension(alg.f, alg.mode))
     rays = []
-    for face in P.faces:
+    for face in alg.P.faces:
         if face.dimension != 0:
             continue
         u = _primitive(face.vertices[0])
@@ -250,19 +245,20 @@ def ray_criterion(
                 scan_bound=scan_bound,
             )
         )
-    return RayCriterionReport(rays=tuple(rays), all_vanish=all(r.first_vanishing for r in rays))
+    all_vanish = all(r.first_vanishing for r in rays)
+    return RayCriterionReport(rays=tuple(rays), all_vanish=all_vanish, scan_bound=scan_bound)
 
 
 @dataclass(frozen=True)
 class RegularBasisResult:
     """Monomial basis of an expected-valuation graded algebra, or a witness."""
 
-    mode: str  # "right" | "contact"
+    algebra: GradedAlgebra = field(repr=False, compare=False)  # computed in; carries the mode
     status: str  # "finite" | "infinite"
     basis: tuple  # ((mono, valuation), ...) sorted by (valuation, degrevlex)
     dimension: object  # int or INFINITY
+    scan_bound: int  # the bound the vertex rays were scanned to
     witness_ray: Optional[RayReport] = None
-    scan_bound: Optional[int] = None
 
     @property
     def finite(self) -> bool:
@@ -278,11 +274,7 @@ class RegularBasisResult:
 
 
 def regular_basis(
-    P: CPolytope,
-    f: Poly,
-    mode: str,
-    scan_bound: Optional[int] = None,
-    algebra: Optional[GradedAlgebra] = None,
+    P: CPolytope, f: Poly, mode: str, scan_bound: Optional[int] = None
 ) -> RegularBasisResult:
     """Full monomial basis of the graded algebra, or an infiniteness witness.
 
@@ -291,16 +283,16 @@ def regular_basis(
     at or past the sum of the ray kills is a shifted-cone translate of a
     kill.  Pieces are then computed only at degrees of unkilled candidates.
     """
-    alg = algebra if algebra is not None else GradedAlgebra(P, f, mode)
-    rc = ray_criterion(P, f, mode, scan_bound=scan_bound, algebra=alg)
+    alg = GradedAlgebra(P, f, mode)
+    rc = ray_criterion(alg, scan_bound=scan_bound)
     if not rc.all_vanish:
         return RegularBasisResult(
-            mode=mode,
+            alg,
             status="infinite",
             basis=(),
             dimension=INFINITY,
+            scan_bound=rc.scan_bound,
             witness_ray=rc.witness(),
-            scan_bound=rc.rays[0].scan_bound if rc.rays else scan_bound,
         )
     # bound: within each facet cone, survivors sit below the sum of ray kills
     dmax = 0
@@ -323,11 +315,11 @@ def regular_basis(
             basis.append((m, d))
     basis.sort(key=lambda pair: (pair[1], degrevlex_key(pair[0])))
     return RegularBasisResult(
-        mode=mode,
+        alg,
         status="finite",
         basis=tuple(basis),
         dimension=len(basis),
-        scan_bound=rc.rays[0].scan_bound if rc.rays else None,
+        scan_bound=rc.scan_bound,
     )
 
 
@@ -335,12 +327,9 @@ def regular_basis(
 class ConditionReport:
     """Verdict for one of the graded finiteness/exactness conditions."""
 
-    mode: str  # "right" | "contact"
     holds: bool
-    graded_dimension: object
     local_dimension: object  # Milnor or Tjurina number of f
-    witness_ray: Optional[RayReport] = None
-    basis: Optional[RegularBasisResult] = None
+    basis: RegularBasisResult  # graded dimension, witness ray and mode
 
 
 def check_condition(
@@ -363,10 +352,7 @@ def check_condition(
     if not rb.finite and local_dim != INFINITY and rb.witness_ray is None:
         raise AssertionError("finite local dimension but no witness ray found")
     return ConditionReport(
-        mode=mode,
         holds=rb.finite and (not strict or rb.dimension == local_dim),
-        graded_dimension=rb.dimension,  # INFINITY when not finite
         local_dimension=local_dim,
-        witness_ray=rb.witness_ray,  # None when finite
         basis=rb,
     )

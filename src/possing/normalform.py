@@ -1,5 +1,9 @@
 """Determinacy bounds and normal forms under right and contact equivalence.
 
+A regular basis carries the graded algebra it was computed in: the filtered
+bound reads its polytope and mode from there, and the reduction works in
+that algebra, reusing the pieces its ray scan computed.
+
 The reduction eliminates the residual piecewise degree by degree.  At the
 current degree d the residual splits, through the stored echelon of that
 graded piece, into surviving-basis terms (collected into the tail) and an
@@ -125,17 +129,16 @@ def precondition_constant(f: Poly, mode: str):
     return stop[0] - 2
 
 
-def determinacy_filtered(
-    P: CPolytope, f: Poly, basis: RegularBasisResult, mode: str
-) -> DeterminacyReport:
+def determinacy_filtered(f: Poly, basis: RegularBasisResult) -> DeterminacyReport:
     """Filtration-refined determinacy: smallest k with m^(k+1) above level d.
 
+    The polytope P and the mode are those of the basis's graded algebra.
     d is the largest valuation over the principal part and the regular
     basis; minimality uses that the least valuation of a degree-m monomial
     is m times the least variable valuation (the valuation is concave, so
     its minimum over the degree simplex sits at a vertex).
     """
-    mode_ideal_gens(f, mode)  # refuses an unknown mode before any verdict
+    P, mode = basis.algebra.P, basis.algebra.mode
     if not basis.finite:
         raise ConditionFailure("infinite regular basis", witness=basis.witness_ray)
     d = max(valuation_poly(P, initial_form(P, f)), basis.max_valuation())
@@ -154,7 +157,6 @@ def determinacy_filtered(
 class NormalFormResult:
     """Principal part plus surviving tail, with a replayable transformation log."""
 
-    mode: str
     principal_part: Poly
     tail: dict  # exponent -> coefficient, all on regular-basis monomials
     # basis monomials that could carry a coefficient; the wider level image
@@ -163,7 +165,7 @@ class NormalFormResult:
     transformations: tuple  # Automorphism per reduction step (unit included)
     residual_valuation: object  # first valuation past the tracked window
     window_degree: int  # total-degree truncation used throughout
-    basis: RegularBasisResult
+    basis: RegularBasisResult  # carries the mode
     precondition_k0: int
 
     def polynomial(self) -> Poly:
@@ -258,8 +260,7 @@ def normal_form(
         raise ValueError("need a nonzero f without constant term")
     ring = f.ring
     fP = initial_form(P, f)
-    alg = GradedAlgebra(P, fP, mode)
-    basis = regular_basis(P, fP, mode, scan_bound=scan_bound, algebra=alg)
+    basis = regular_basis(P, fP, mode, scan_bound=scan_bound)
     if not basis.finite:
         raise NormalFormRefusal(
             "graded algebra of the principal part is infinite-dimensional",
@@ -296,7 +297,7 @@ def normal_form(
             residual_val = d
             break
         v_low = min([d] + [P.value(m) for m in tail])
-        basis_coeffs, used = _split(alg, residual, d, v_low)
+        basis_coeffs, used = _split(basis.algebra, residual, d, v_low)
         # every level-d basis coefficient is collected; the theorem window
         # only licenses discarding high-degree ones from the final statement,
         # and skipping them here would stall the residual at this level
@@ -314,7 +315,6 @@ def normal_form(
         cur = new_cur
     tail = {m: c for m, c in tail.items() if c}
     return NormalFormResult(
-        mode=mode,
         principal_part=fP,
         tail=tail,
         candidates=candidates,

@@ -138,7 +138,7 @@ class TestVanishes:
 class TestRayCriterion:
     def test_e33_witness_points(self):
         ring, f, Pw = e33()
-        rc = ray_criterion(Pw, f, "contact")
+        rc = ray_criterion(GradedAlgebra(Pw, f, "contact"))
         assert rc.all_vanish
         hits = {r.direction: r.first_vanishing for r in rc.rays}
         # the scan returns first kills; the known zero classes x^15, y^15,
@@ -149,15 +149,22 @@ class TestRayCriterion:
 
     def test_t45_failing_ray(self):
         ring, f, Pw = t45()
-        rc = ray_criterion(Pw, f, "contact", scan_bound=24)
+        rc = ray_criterion(GradedAlgebra(Pw, f, "contact"), scan_bound=24)
         assert not rc.all_vanish
         assert rc.witness().direction == (0, 1)
 
-    @pytest.mark.parametrize("call", [ray_criterion, regular_basis])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda Pw, f: ray_criterion(GradedAlgebra(Pw, f, "contact"), scan_bound=0),
+            lambda Pw, f: regular_basis(Pw, f, "contact", scan_bound=0),
+        ],
+        ids=["ray_criterion", "regular_basis"],
+    )
     def test_scan_bound_below_one_refused(self, call):
         ring, f, Pw = t45()
         with pytest.raises(ValueError, match="scan bound must be at least 1"):
-            call(Pw, f, "contact", scan_bound=0)
+            call(Pw, f)
 
 
 class TestConditions:
@@ -166,7 +173,7 @@ class TestConditions:
         finite = check_condition(Pw, f, "contact", strict=False)
         exact = check_condition(Pw, f, "contact", strict=True)
         assert finite.holds and not exact.holds
-        assert finite.graded_dimension == 22 and finite.local_dimension == 21
+        assert finite.basis.dimension == 22 and finite.local_dimension == 21
 
     def test_qh_exactness(self):
         ring = Ring(5, ("x", "y"))
@@ -180,7 +187,7 @@ class TestConditions:
         ring, f, Pw = t45()
         rep = check_condition(Pw, f, "contact", strict=False, scan_bound=24)
         assert not rep.holds
-        assert rep.witness_ray.direction == (0, 1)
+        assert rep.basis.witness_ray.direction == (0, 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level function or class of the package goes unused, no public
-entry point is reached by tests alone, and no handler catches every
+entry point is reached by tests alone, no public entry point takes a mode
+beside an object that carries one, and no handler catches every
 exception."""
 
 import ast
@@ -160,6 +161,42 @@ def test_entry_point_detector_covers_methods_and_skips_private():
     caller = "def g(x: f) -> f:\n    y: f = C()\n    return y.m()\n"
     loads = loaded_names(without_annotations(caller))
     assert [d for d in public_definitions(source) if d[1] not in loads] == [(1, "f")]
+
+
+# parameters whose object already carries a mode
+MODE_CARRIERS = {"algebra", "basis"}
+
+
+def mode_beside_carrier(source: str) -> list:
+    """(line, name) of the public functions and methods that take a `mode`
+    together with an `algebra` or a `basis`, whose own mode it could contradict."""
+    public = set(public_definitions(source))
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        if (node.lineno, node.name) in public and "mode" in params and params & MODE_CARRIERS:
+            found.append((node.lineno, node.name))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_mode_beside_a_carrier(path):
+    assert mode_beside_carrier(path.read_text()) == []
+
+
+def test_mode_carrier_detector():
+    source = (
+        "def f(P, mode, algebra=None): pass\n"
+        "def g(f, basis): pass\n"
+        "def _h(mode, basis): pass\n"
+        "class C:\n"
+        "    def m(self, *, mode, basis): pass\n"
+        "    def n(self, mode): pass\n"
+    )
+    assert mode_beside_carrier(source) == [(1, "f"), (5, "m")]
 
 
 BROAD = {"Exception", "BaseException"}

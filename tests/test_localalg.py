@@ -21,7 +21,6 @@ from possing.grading import (
     GradedAlgebra,
     check_condition,
     plain_graded_dims,
-    ray_criterion,
     regular_basis,
 )
 from possing.newton import cpolytope_from_poly, cpolytope_from_weights
@@ -111,12 +110,11 @@ MODE_P = cpolytope_from_poly(MODE_F)
 MODE_ENTRY_POINTS = {
     "GradedAlgebra": lambda mode: GradedAlgebra(MODE_P, MODE_F, mode),
     "regular_basis": lambda mode: regular_basis(MODE_P, MODE_F, mode),
-    "ray_criterion": lambda mode: ray_criterion(MODE_P, MODE_F, mode),
     "plain_graded_dims": lambda mode: plain_graded_dims(MODE_P, MODE_F, mode, 6),
     "check_condition": lambda mode: check_condition(MODE_P, MODE_F, mode, strict=True),
     "determinacy_generic": lambda mode: determinacy_generic(MODE_F, mode),
     "determinacy_filtered": lambda mode: determinacy_filtered(
-        MODE_P, MODE_F, regular_basis(MODE_P, MODE_F, "contact"), mode),
+        MODE_F, regular_basis(MODE_P, MODE_F, mode)),
     "precondition_constant": lambda mode: precondition_constant(MODE_F, mode),
     "normal_form": lambda mode: normal_form(MODE_P, MODE_F, mode),
     "sqh_check": lambda mode: sqh_check(MODE_F, (4, 3), mode),

@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from possing.grading import regular_basis
+from possing.grading import ConditionFailure, GradedAlgebra, regular_basis
 from possing.localalg import milnor, std_basis, tjurina
 from possing.newton import cpolytope_from_poly, cpolytope_from_weights, initial_form
 from possing.normalform import (
@@ -55,7 +56,7 @@ class TestDeterminacyFiltered:
     def test_q10(self):
         ring, f, Pw = q10_setup()
         rb = regular_basis(Pw, f, "contact")
-        rep = determinacy_filtered(Pw, f, rb, "contact")
+        rep = determinacy_filtered(f, rb)
         assert rep.max_valuation == 35
         assert rep.filtered_bound == 5
 
@@ -64,7 +65,7 @@ class TestDeterminacyFiltered:
         f = P(R3, "x^12+x^3*y^2+y^3")
         Pw = cpolytope_from_poly(f)
         rb = regular_basis(Pw, f, "contact")
-        rep = determinacy_filtered(Pw, f, rb, "contact")
+        rep = determinacy_filtered(f, rb)
         assert rep.max_valuation == 112
         assert rep.filtered_bound == 18
         assert rep.filtered_bound <= determinacy_generic(f, "contact")
@@ -75,8 +76,19 @@ class TestDeterminacyFiltered:
             f = ring.poly([((p, 0), 1), ((2, 2), 1), ((0, q), 1)])
             Pw = cpolytope_from_poly(f)
             rb = regular_basis(Pw, f, "contact")
-            rep = determinacy_filtered(Pw, f, rb, "contact")
+            rep = determinacy_filtered(f, rb)
             assert rep.filtered_bound == max(p, q)
+
+    def test_mode_is_the_basis_mode(self):
+        """The bound's mode is that of the basis: this germ's right graded
+        algebra is infinite, so only its contact basis yields a bound."""
+        R3 = Ring(3, ("x", "y"))
+        f = P(R3, "x^12+x^3*y^2+y^3")
+        Pw = cpolytope_from_poly(f)
+        with pytest.raises(ConditionFailure):
+            determinacy_filtered(f, regular_basis(Pw, f, "right"))
+        rep = determinacy_filtered(f, regular_basis(Pw, f, "contact"))
+        assert (rep.mode, rep.filtered_bound) == ("contact", 18)
 
 
 class TestNormalForm:
@@ -134,6 +146,21 @@ class TestNormalForm:
         nf = normal_form(Pw, g, "contact")
         assert nf.tail == {(1, 1, 2): 1}
         assert (1, 1, 2) in nf.candidates
+
+    def test_reduction_reuses_the_scanned_pieces(self, monkeypatch):
+        """normal_form reduces in the graded algebra its regular basis was
+        computed in, so no graded piece is computed twice."""
+        calls = Counter()
+        compute = GradedAlgebra._compute_piece
+
+        def counting(alg, d):
+            calls[d] += 1
+            return compute(alg, d)
+
+        monkeypatch.setattr(GradedAlgebra, "_compute_piece", counting)
+        ring, f, Pw = q10_setup()
+        normal_form(Pw, f + P(ring, "x*y*z^2"), "contact")
+        assert calls and [d for d, n in calls.items() if n > 1] == []
 
 
 class TestPreconditionConstant:
