@@ -9,6 +9,10 @@ object that each run prints on its last line (it includes `attempted`,
 number of usable processors, so that two records can be compared only when
 they come from the same machine.
 
+It refuses to run, and writes nothing, while `git status --porcelain -- src`
+lists any change: the record's revision would then name code it did not
+measure.  Commit the program first.
+
 Usage: python scripts/bench_record.py LABEL
 """
 
@@ -31,13 +35,21 @@ def last_json_line(cmd: list) -> dict:
     return json.loads(lines[-1])
 
 
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.rstrip()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<LABEL>.json")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    revision = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip()
+    dirty = git("status", "--porcelain", "--", "src")
+    if dirty:
+        sys.exit("error: src/ differs from HEAD, so the record's revision would not "
+                 "name the code measured; commit first:\n" + dirty)
+    revision = git("rev-parse", "HEAD")
     record = {"label": args.label, "revision": revision,
               "nproc": len(os.sched_getaffinity(0)), "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):

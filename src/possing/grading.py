@@ -15,8 +15,9 @@ and Tjurina ideals are computed by a single echelon over all monomials of
 bounded valuation, `newton._filtered_dims`: with columns sorted by
 valuation, the pivots at level d count the image inside that level.  The
 echelons come from `newton`: every one, expected or plain, is a sparse
-`newton._Echelon` built by `newton._row_echelon` from (label, product) rows
-and a column list.
+`newton._Echelon`.  The expected pieces are built by `newton._row_echelon`
+from (label, product) rows and a column list; `_filtered_dims` builds its
+unlabelled rows straight into column indices.
 
 Pivots always target the leading monomial in the local order, so surviving
 quotient monomials match the standard-monomial conventions of the rest of

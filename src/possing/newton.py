@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import ceil, gcd, lcm
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from possing.poly import (
@@ -42,34 +44,74 @@ class _Echelon:
     the polytope code.
 
     Columns are positions into a fixed monomial list (pivot preference
-    order).  Pivot rows are monic at their pivot and support only columns
-    at or after it, so reduction by ascending pivot position terminates.
+    order), and a row is a dict {position: nonzero entry}.  Over F_p the
+    entries are residues in [0, p) and the arithmetic is inline on Python
+    ints with `% p`; over Q they are `Fraction`s (ints are accepted on
+    input) combined with the plain operators.  Pivot rows are monic at
+    their pivot and support only columns at or after it.
+
+    `reduce` takes the next pivot from a heap of the vector's pivot
+    positions.  Eliminating at position q touches only positions at or
+    after q and clears q, so the positions popped ascend and each is
+    eliminated at most once.  A heap entry whose position has left the
+    vector, cancelled or already eliminated, is skipped; so is the second
+    entry of a position cancelled and re-created before its turn.
     """
 
     def __init__(self, ring, track: bool):
-        self.ring = ring
+        self.char = ring.char
         self.track = track
         self.pivots: dict = {}  # pos -> (row dict, combo dict | None)
 
     def reduce(self, vec: dict):
-        ring = self.ring
+        """(residual, used): the residual is vec minus used[label] times the
+        generator row of each label, and holds no pivot position.  used is
+        empty unless the echelon tracks combinations."""
+        p = self.char
+        pivots = self.pivots
+        track = self.track
         vec = dict(vec)
         used: dict = {}
-        while True:
-            hit = min((pos for pos in vec if pos in self.pivots), default=None)
-            if hit is None:
-                break
-            row, rowcombo = self.pivots[hit]
-            c = vec[hit]
-            for p2, v2 in row.items():
-                nv = ring.cadd(vec.get(p2, ring.coeff(0)), ring.cneg(ring.cmul(c, v2)))
-                if nv:
-                    vec[p2] = nv
-                else:
-                    vec.pop(p2, None)
-            if self.track and rowcombo is not None:
+        heap = [pos for pos in vec if pos in pivots]
+        heapify(heap)
+        while heap:
+            hit = heappop(heap)
+            c = vec.get(hit)
+            if c is None:
+                continue
+            row, rowcombo = pivots[hit]
+            if p:
+                neg = p - c
+                for pos, v in row.items():
+                    old = vec.get(pos)
+                    if old is None:
+                        vec[pos] = neg * v % p
+                        if pos in pivots:
+                            heappush(heap, pos)
+                    else:
+                        old = (old + neg * v) % p
+                        if old:
+                            vec[pos] = old
+                        else:
+                            del vec[pos]
+            else:
+                for pos, v in row.items():
+                    old = vec.get(pos)
+                    if old is None:
+                        vec[pos] = -c * v
+                        if pos in pivots:
+                            heappush(heap, pos)
+                    else:
+                        old -= c * v
+                        if old:
+                            vec[pos] = old
+                        else:
+                            del vec[pos]
+            if track:
                 for label, cc in rowcombo.items():
-                    nv = ring.cadd(used.get(label, ring.coeff(0)), ring.cmul(c, cc))
+                    nv = used.get(label, 0) + c * cc
+                    if p:
+                        nv %= p
                     if nv:
                         used[label] = nv
                     else:
@@ -78,25 +120,33 @@ class _Echelon:
 
     def add_row(self, vec: dict, label=None) -> bool:
         """Insert a generator row; returns True when it increased the rank."""
-        ring = self.ring
-        combo = {label: ring.coeff(1)} if (self.track and label is not None) else None
         red, used = self.reduce(vec)
+        if not red:
+            return False
+        p = self.char
+        pos = min(red)
+        if p:
+            inv = pow(red[pos], p - 2, p)
+            red = {q: v * inv % p for q, v in red.items()}
+        else:
+            inv = 1 / Fraction(red[pos])
+            red = {q: v * inv for q, v in red.items()}
+        combo = None
         if self.track:
-            # red == vec - sum(used * pivotrows); express red over generators
-            combo = dict(combo or {})
+            # red == vec - sum(used * pivot rows): express it over the generators
+            combo = {} if label is None else {label: 1}
             for plabel, c in used.items():
-                nv = ring.cadd(combo.get(plabel, ring.coeff(0)), ring.cneg(c))
+                nv = combo.get(plabel, 0) - c
+                if p:
+                    nv %= p
                 if nv:
                     combo[plabel] = nv
                 else:
                     combo.pop(plabel, None)
-        if not red:
-            return False
-        pos = min(red)
-        inv = ring.cinv(red[pos])
-        red = {p: ring.cmul(v, inv) for p, v in red.items()}
-        if self.track:
-            combo = {l: ring.cmul(v, inv) for l, v in combo.items()}
+            if p:
+                combo = {l: v * inv % p for l, v in combo.items()}
+            else:
+                combo = {l: v * inv for l, v in combo.items()}
         self.pivots[pos] = (red, combo)
         return True
 
@@ -583,22 +633,38 @@ def _filtered_dims(P: CPolytope, ring, gens: list, dmax: int) -> list:
     the span of the monomials of valuation >= c; for c <= dmax + 1 that
     image is (I + F_c)/F_c, as v(x^gamma g) >= v(x^gamma) + v(g).  So the
     dims below level c sum to dim K[[x]]/(I + F_c) for every c <= dmax + 1.
-    Rows carry no label, since only the pivot positions are read.
+
+    Each row is built straight into a {column index: coefficient} dict
+    from the generator's terms shifted by gamma; a shifted term of
+    valuation past dmax has no column and is dropped.  The gammas of a row
+    are read off the column monomials, once per valuation bound.  Rows
+    carry no label, since only the pivot positions are read.
     """
+    points = [(m, P.value(m)) for m in _lattice_sweep(P, 0, dmax)]
     by_level = {}
-    for m in _lattice_sweep(P, 0, dmax):
-        by_level.setdefault(P.value(m), []).append(m)
+    for m, lvl in points:
+        by_level.setdefault(lvl, []).append(m)
     cols = [
         m
         for lvl in sorted(by_level)
         for m in sorted(by_level[lvl], key=local_key, reverse=True)
     ]
-    rows = (
-        (None, g.term_mul(gamma, 1))
-        for g in gens
-        for gamma in _lattice_sweep(P, 0, dmax - valuation_poly(P, g))
-    )
-    ech, _ = _row_echelon(ring, cols, rows, track=False)
+    index = {m: i for i, m in enumerate(cols)}
+    shifts = {}  # bound b -> the gammas of valuation <= b, in sweep order
+    ech = _Echelon(ring, track=False)
+    for g in gens:
+        terms = list(g.terms.items())
+        bound = dmax - valuation_poly(P, g)
+        if bound not in shifts:
+            shifts[bound] = [m for m, lvl in points if lvl <= bound]
+        for gamma in shifts[bound]:
+            vec = {}
+            for m, c in terms:
+                pos = index.get(tuple(map(add, m, gamma)))
+                if pos is not None:
+                    vec[pos] = c
+            if vec:
+                ech.add_row(vec)
     dims = [0] * (dmax + 1)
     for pos, m in enumerate(cols):
         if pos not in ech.pivots:

@@ -1,3 +1,4 @@
+import heapq
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from possing.newton import (
     CPolytope,
+    _Echelon,
     _independent,
     _lattice_sweep,
     _solve_unique,
@@ -400,13 +402,17 @@ def det(mat) -> Fraction:
     )
 
 
-def minor_rank(rows) -> int:
-    """Rank as the size of the largest nonzero minor: no elimination at all."""
+def minor_rank(rows, char: int = 0) -> int:
+    """Rank as the size of the largest nonzero minor: no elimination at all.
+
+    Over F_p (char p) a minor of the integer matrix counts when it is
+    nonzero mod p."""
     ncols = len(rows[0]) if rows else 0
     for k in range(min(len(rows), ncols), 0, -1):
         for ri in combinations(range(len(rows)), k):
             for ci in combinations(range(ncols), k):
-                if det([[rows[r][c] for c in ci] for r in ri]):
+                minor = det([[rows[r][c] for c in ci] for r in ri])
+                if minor % char if char else minor:
                     return k
     return 0
 
@@ -446,6 +452,82 @@ def test_dense_kernel(rows, data):
     if sol is not None:
         assert sol == cramer(rows, rhs)
         assert all(isinstance(x, Fraction) for x in sol)
+
+
+@st.composite
+def echelon_cases(draw):
+    """A characteristic (2, 3, 7 or 0 for Q), a column count, labelled sparse
+    rows and a sparse vector, with entries nonzero residues mod p or nonzero
+    fractions."""
+    char = draw(st.sampled_from([2, 3, 7, 0]))
+    ncols = draw(st.integers(1, 5))
+    if char:
+        entries = st.integers(1, char - 1)
+    else:
+        entries = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    sparse = st.dictionaries(st.integers(0, ncols - 1), entries, max_size=ncols)
+    return char, ncols, draw(st.lists(sparse, min_size=1, max_size=5)), draw(sparse)
+
+
+def dense(vec: dict, ncols: int, char: int) -> list:
+    return [vec.get(j, 0) % char if char else Fraction(vec.get(j, 0)) for j in range(ncols)]
+
+
+def combination(coeffs: dict, rows: list, ncols: int, char: int) -> list:
+    """sum(coeffs[label] * rows[label]), densely, mod p over F_p."""
+    out = [0] * ncols
+    for label, c in coeffs.items():
+        for j, v in rows[label].items():
+            out[j] += c * v
+    return [x % char if char else Fraction(x) for x in out]
+
+
+def check_echelon(char: int, ncols: int, rows: list, vec: dict):
+    ech = _Echelon(Ring(char, ("x",)), track=True)
+    for label, row in enumerate(rows):
+        ech.add_row(row, label=label)
+    residual, used = ech.reduce(vec)
+    assert not set(residual) & set(ech.pivots)
+    taken = [(a - b) % char if char else a - b
+             for a, b in zip(dense(vec, ncols, char), dense(residual, ncols, char))]
+    assert taken == combination(used, rows, ncols, char)
+    for pos, (row, combo) in ech.pivots.items():
+        assert row[pos] == 1 and min(row) == pos
+        assert all(v and (0 < v < char if char else isinstance(v, Fraction))
+                   for v in row.values())
+        assert dense(row, ncols, char) == combination(combo, rows, ncols, char)
+    assert ech.rank == minor_rank([[row.get(j, 0) for j in range(ncols)] for row in rows],
+                                  char)
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_cases())
+def test_echelon_properties(case):
+    """Reduction leaves no pivot position and names the combination it took
+    off over the original rows; pivot rows are monic and start at their
+    pivot; the rank is the minor rank (mod p over F_p)."""
+    check_echelon(*case)
+
+
+def test_echelon_pivot_cancelled_and_recreated(monkeypatch):
+    """Pivot position 2 is in the vector, cancelled by the row at 0 and
+    created again by the row at 1, so the heap holds it twice; the second
+    entry is skipped."""
+    import possing.newton as newton
+
+    pushed = []
+    monkeypatch.setattr(newton, "heappush", lambda heap, pos: (
+        pushed.append(pos), heapq.heappush(heap, pos)))
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}]
+    vec = {0: 1, 1: 1, 2: 1}
+    check_echelon(0, 4, rows, vec)
+    ech = _Echelon(Ring(0, ("x",)), track=True)
+    for label, row in enumerate(rows):
+        ech.add_row(row, label=label)
+    pushed.clear()
+    residual, used = ech.reduce(vec)
+    assert pushed == [2]
+    assert residual == {3: 1} and used == {0: 1, 1: 1, 2: -1}
 
 
 @settings(max_examples=100, deadline=None)

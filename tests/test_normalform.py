@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from possing.grading import ConditionFailure, GradedAlgebra, regular_basis
-from possing.localalg import milnor, std_basis, tjurina
+from possing.localalg import _first_zero_level, milnor, mode_ideal_gens, std_basis, tjurina
 from possing.newton import cpolytope_from_poly, cpolytope_from_weights, initial_form
 from possing.normalform import (
     NormalFormRefusal,
@@ -185,6 +185,54 @@ class TestPreconditionConstant:
     def test_right_and_contact_pairs(self, char, text, expected):
         f = P(Ring(char, ("x", "y")), text)
         assert (precondition_constant(f, "right"), precondition_constant(f, "contact")) == expected
+
+
+# (characteristic, variables, germ, contact eliminations of precondition_constant):
+# the golden `normalform` and `determinacy` germs, and the criterion 1 and
+# criterion 3 normal-form germs of the fixtures.  The last two have c = top + 1,
+# which a first truncation at top + 1 leaves undecided; the determinacy germ
+# has c = top + 2, past any first echelon that stops at level top + 1.
+PRECONDITION_GERMS = [
+    (2, "x,y,z", "x^2*z+y^3+z^4+x*y*z^2", 1),
+    (3, "x,y", "x^12+x^3*y^2+y^3", 2),
+    (2, "x,y", "x^5+x^2*y^2+y^4", 1),
+    (3, "x,y", "x^12+x^3*y^2+y^3+x*y^3+2*x^2*y^4+x^10*y", 1),
+]
+
+
+def _contact_tangent(char, names, text):
+    ring = Ring(char, tuple(names.split(",")))
+    f = P(ring, text)
+    gens = _tangent_ideal_gens(f, "contact")
+    cap = int(tjurina(f)) + len(mode_ideal_gens(f, "contact")) * (ring.nvars + 1)
+    return f, gens, cap
+
+
+@pytest.mark.parametrize("char,names,text,passes", PRECONDITION_GERMS)
+def test_first_zero_level_independent_of_start(char, names, text, passes):
+    """The first zero level and the count below it do not depend on where
+    the truncations start (Nakayama), for every start from 2 to d + 2."""
+    _, gens, cap = _contact_tangent(char, names, text)
+    stop = _first_zero_level(gens, 2, cap)
+    assert stop is not None
+    assert {_first_zero_level(gens, s, cap) for s in range(2, stop[0] + 3)} == {stop}
+
+
+@pytest.mark.parametrize("char,names,text,passes", PRECONDITION_GERMS)
+def test_precondition_elimination_count(monkeypatch, char, names, text, passes):
+    """precondition_constant's first echelon, truncated at the tangent
+    generators' top degree + 2, decides c whenever c <= top + 1."""
+    import possing.localalg as localalg
+
+    f, gens, _ = _contact_tangent(char, names, text)
+    top = max(g.degree() for g in gens)
+    calls = []
+    degree_dims = localalg._degree_dims
+    monkeypatch.setattr(localalg, "_degree_dims",
+                        lambda gens, dmax: calls.append(dmax) or degree_dims(gens, dmax))
+    k = precondition_constant(f, "contact")
+    assert len(calls) == passes and calls[0] == top + 1
+    assert (k + 2 <= top + 1) == (passes == 1)
 
 
 @st.composite
