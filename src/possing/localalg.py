@@ -11,13 +11,19 @@ Saturation (used by the inner non-degeneracy test) is one global
 Buchberger run that eliminates the Rabinowitsch variable; no monomial
 order can refine a multi-facet piecewise degree, so nothing here is used
 for the graded algebras themselves.
+
+Both run the one completion loop `_buchberger`, specialised to its field
+like the echelon: it reduces plain term dicts in place, with residues and
+`% p` over F_p and `Fraction` operators over Q, and builds Polys only on
+return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from heapq import heapify, heappop, heappush
+from itertools import count, product
 from typing import Iterable
 
 from possing.newton import _filtered_dims, cpolytope_from_weights
@@ -45,26 +51,6 @@ def _monic(f: Poly, key) -> Poly:
     return f.scale(f.ring.cinv(f.terms[lm]))
 
 
-def _reduce(g: Poly, basis, lms, key) -> Poly:
-    """Remainder of g under top-reduction by a monic basis.
-
-    Each step cancels the remainder's leading term with the first basis
-    element whose leading monomial (lms, in the basis order) divides it, and
-    stops when none does.  The leading monomial strictly falls, so this
-    terminates under the well-orders `_buchberger` runs with.
-    """
-    h = g
-    while not h.is_zero():
-        lm_h = leading_monomial(h, key)
-        for lm, b in zip(lms, basis):
-            if mono_divides(lm, lm_h):
-                break
-        else:
-            break
-        h = h - b.term_mul(mono_div(lm_h, lm), h.terms[lm_h])
-    return h
-
-
 @dataclass(frozen=True)
 class StandardBasis:
     """Local standard basis with its leading monomials."""
@@ -78,30 +64,140 @@ class StandardBasis:
 
 
 def _buchberger(gens: list, key) -> list:
-    """Completion loop; normal selection with the product criterion."""
-    basis = [_monic(g, key) for g in gens if not g.is_zero()]
-    lms = [leading_monomial(g, key) for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        pairs.sort(key=lambda ij: sum(mono_lcm(lms[ij[0]], lms[ij[1]])), reverse=True)
-        i, j = pairs.pop()
+    """Completion loop; normal selection with the product criterion.
+
+    `key` maps a monomial to a flat tuple of ints whose maximum marks the
+    leading monomial.  The loop works on plain term dicts specialised to the
+    field, and builds Polys only on return.  Each basis element is kept
+    monic, as its leading monomial and a list of tail terms.  Over F_p the
+    coefficients are residues in [0, p) combined inline with `% p`; over Q
+    they are `Fraction`s combined with the plain operators.
+
+    Selection: the next pair has the lowest degree of its lcm, and among
+    ties the newest pair, the one inserted last.  Pairs sit in a heap keyed
+    by (lcm degree, minus insertion counter), each lcm computed once.  This
+    is the rule of re-sorting the pair list by decreasing lcm degree and
+    popping its end: that sort is stable and pairs are appended in
+    insertion order, so among equal degrees the list end is the newest
+    pair.  Pairs with coprime leading monomials are never inserted, since
+    their s-polynomials reduce to zero (the product criterion); no other
+    criterion is applied.
+
+    Remainders are top-reduced: each step cancels the leading term with
+    the first basis element whose leading monomial divides it, and stops
+    when none does.  The leading monomial strictly falls, so this
+    terminates under the well-orders used here.  It is read off a heap of
+    negated keys (ascending there is descending in the order), each
+    computed once per monomial per call.  Every term of the remainder has
+    an entry, pushed when the term appears, and a step adds only terms
+    below the monomial it clears; so the first popped monomial still
+    present is the leading one, and an entry whose monomial has cancelled
+    is skipped.
+    """
+    ring = gens[0].ring
+    p = ring.char
+    ranks: dict = {}  # monomial -> negated key
+    lms: list = []  # leading monomial of each basis element
+    tails: list = []  # its other terms, as (monomial, coefficient) pairs
+    pairs: list = []  # heap of (lcm degree, -insertion counter, lcm, i, j)
+    counter = count()
+
+    def rank(m):
+        r = ranks.get(m)
+        if r is None:
+            r = ranks[m] = tuple([-e for e in key(m)])
+        return r
+
+    def append(h: dict, lm_h) -> None:
+        """Append h, made monic at lm_h (popped from h)."""
+        inv = ring.cinv(h.pop(lm_h))
+        if p:
+            tails.append([(m, v * inv % p) for m, v in h.items()])
+        else:
+            tails.append([(m, v * inv) for m, v in h.items()])
+        lms.append(lm_h)
+
+    def queue(i: int, j: int) -> None:
         lcm = mono_lcm(lms[i], lms[j])
-        if lcm == mono_mul(lms[i], lms[j]):
-            continue  # coprime leading monomials: s-poly reduces to zero
-        s = basis[i].term_mul(mono_div(lcm, lms[i]), 1) - basis[j].term_mul(
-            mono_div(lcm, lms[j]), 1
-        )
-        if s.is_zero():
-            continue
-        h = _reduce(s, basis, lms, key)
-        if h.is_zero():
-            continue
-        h = _monic(h, key)
-        basis.append(h)
-        lms.append(leading_monomial(h, key))
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
-    return basis
+        if lcm != mono_mul(lms[i], lms[j]):  # else the product criterion drops it
+            heappush(pairs, (sum(lcm), -next(counter), lcm, i, j))
+
+    def top_reduce(h: dict):
+        """Top-reduce h in place; its leading monomial, None once h is 0."""
+        heap = [(rank(m), m) for m in h]
+        heapify(heap)
+        while heap:
+            lm_h = heappop(heap)[1]
+            c = h.get(lm_h)
+            if c is None:
+                continue
+            for k, lm in enumerate(lms):
+                if mono_divides(lm, lm_h):
+                    break
+            else:
+                return lm_h
+            del h[lm_h]
+            shift = mono_div(lm_h, lm)
+            if p:
+                neg = p - c
+                for m, v in tails[k]:
+                    m = mono_mul(m, shift)
+                    old = h.get(m)
+                    if old is None:
+                        h[m] = neg * v % p
+                        heappush(heap, (rank(m), m))
+                    else:
+                        old = (old + neg * v) % p
+                        if old:
+                            h[m] = old
+                        else:
+                            del h[m]
+            else:
+                neg = -c
+                for m, v in tails[k]:
+                    m = mono_mul(m, shift)
+                    old = h.get(m)
+                    if old is None:
+                        h[m] = neg * v
+                        heappush(heap, (rank(m), m))
+                    else:
+                        old += neg * v
+                        if old:
+                            h[m] = old
+                        else:
+                            del h[m]
+        return None
+
+    for g in gens:
+        if g.terms:
+            append(dict(g.terms), min(g.terms, key=rank))
+    for i in range(len(lms)):
+        for j in range(i + 1, len(lms)):
+            queue(i, j)
+    while pairs:
+        _, _, lcm, i, j = heappop(pairs)
+        shift = mono_div(lcm, lms[i])
+        h = {mono_mul(m, shift): v for m, v in tails[i]}
+        shift = mono_div(lcm, lms[j])
+        for m, v in tails[j]:
+            m = mono_mul(m, shift)
+            old = h.get(m)
+            if old is None:
+                h[m] = p - v if p else -v
+            else:
+                old = (old - v) % p if p else old - v
+                if old:
+                    h[m] = old
+                else:
+                    del h[m]
+        lm_h = top_reduce(h) if h else None
+        if lm_h is not None:
+            append(h, lm_h)
+            new = len(lms) - 1
+            for k in range(new):
+                queue(k, new)
+    one = ring.coeff(1)
+    return [Poly(ring, dict([(lm, one), *tail])) for lm, tail in zip(lms, tails)]
 
 
 def _minimalize(basis: list, key) -> list:
@@ -124,8 +220,10 @@ def _homog_key(m: Mono):
     """Global order on the homogenizing ring: total degree, then the local
     order of the x-part.  The homogenizing variable sits in the last slot.
     Leading terms of homogenized polynomials dehomogenize to local leading
-    terms, so Groebner bases here dehomogenize to standard bases."""
-    return (sum(m), local_key(m[:-1]))
+    terms, so Groebner bases here dehomogenize to standard bases.  The key
+    is flat, as `_buchberger` takes it."""
+    order, tie = local_key(m[:-1])
+    return (sum(m), order, *tie)
 
 
 def _homogenize(ring_t: Ring, f: Poly) -> Poly:
@@ -248,8 +346,10 @@ def _with_tag_variable(ring: Ring) -> Ring:
 
 
 def _elim_key(m: Mono):
-    # tag variable sits in the last slot and dominates; degrevlex below
-    return (m[-1], degrevlex_key(m[:-1]))
+    # tag variable sits in the last slot and dominates; degrevlex below,
+    # flattened as `_buchberger` takes flat keys
+    degree, tie = degrevlex_key(m[:-1])
+    return (m[-1], degree, *tie)
 
 
 def _lift(ring_t: Ring, f: Poly, tag_exp: int) -> Poly:

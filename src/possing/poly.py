@@ -145,10 +145,11 @@ class Ring:
     def poly(self, terms: Iterable) -> "Poly":
         """Build a polynomial from (exponent-tuple, coefficient) pairs."""
         acc = {}
+        zero = self.coeff(0)
         for expo, c in terms:
             expo = tuple(int(e) for e in expo)
             c = self.coeff(c)
-            s = self.cadd(acc.get(expo, self.coeff(0)), c)
+            s = self.cadd(acc.get(expo, zero), c)
             if s:
                 acc[expo] = s
             else:
@@ -214,33 +215,41 @@ class Poly:
         if self.ring != other.ring:
             raise RingError("mixed ring contexts")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
+    def _plus_terms(self, terms) -> "Poly":
+        """self plus the (monomial, coefficient) pairs of terms, in one pass."""
         ring = self.ring
+        zero = ring.coeff(0)
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = ring.cadd(acc.get(m, ring.coeff(0)), c)
+        for m, c in terms:
+            s = ring.cadd(acc.get(m, zero), c)
             if s:
                 acc[m] = s
             else:
                 acc.pop(m, None)
         return Poly(ring, acc)
 
+    def __add__(self, other: "Poly") -> "Poly":
+        self._check(other)
+        return self._plus_terms(other.terms.items())
+
     def __neg__(self) -> "Poly":
         ring = self.ring
         return Poly(ring, {m: ring.cneg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        cneg = self.ring.cneg
+        return self._plus_terms((m, cneg(c)) for m, c in other.terms.items())
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         ring = self.ring
+        zero = ring.coeff(0)
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = ring.cadd(acc.get(m, ring.coeff(0)), ring.cmul(c1, c2))
+                s = ring.cadd(acc.get(m, zero), ring.cmul(c1, c2))
                 if s:
                     acc[m] = s
                 else:
@@ -272,6 +281,7 @@ class Poly:
     def partial(self, i: int) -> "Poly":
         """Partial derivative along variable i (0-based); exponents reduce mod p."""
         ring = self.ring
+        zero = ring.coeff(0)
         acc = {}
         for m, c in self.terms.items():
             if m[i] == 0:
@@ -280,7 +290,7 @@ class Poly:
             if not cc:
                 continue
             dm = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-            s = ring.cadd(acc.get(dm, ring.coeff(0)), cc)
+            s = ring.cadd(acc.get(dm, zero), cc)
             if s:
                 acc[dm] = s
             else:

@@ -31,7 +31,7 @@ from possing.normalform import (
     normal_form,
     precondition_constant,
 )
-from possing.poly import Ring, degrevlex_key, poly_from_string
+from possing.poly import Ring, degrevlex_key, poly_from_string, poly_to_string
 
 
 def P(ring, text):
@@ -163,6 +163,109 @@ class TestSaturate:
         x, y = RQ.var(0), RQ.var(1)
         out = saturate([x * x, x * y], x)
         assert out == [RQ.one()]
+
+
+# Exact bases, tails included, pinned so that a change to the completion loop
+# (selection order, tie-breaks, field arithmetic) shows.  Bases are not
+# reduced, so their tails depend on the order in which pairs are treated.
+PINNED_Q10 = "x^2*z+y^3+z^4+2*x^2*y^2+3*x*y*z^2"
+PINNED_T45 = "x^4+x^2*y^2+y^5+x^3*y^2"
+PINNED_T57 = "x^5+x^2*y^2+y^7+2*x^4*y"
+PINNED_SAT = ("x^3*y+2*x^2*y^2-x*y^4", "x^2*y^3+x^4-3*x*y^2")
+PINNED_BASES = {
+    "q10-jacobian": (
+        (0, "x,y,z", PINNED_Q10, "right"),
+        ["2*x*y^2+3/2*y*z^2+x*z", "4/3*x^2*y+x*z^2+y^2", "6*x*y*z+4*z^3+x^2",
+         "3/4*x*y^3*z+5/16*y^2*z^3+z^4"],
+        [(1, 0, 1), (0, 2, 0), (2, 0, 0), (0, 0, 4)],
+    ),
+    "q10-tjurina": (
+        (0, "x,y,z", PINNED_Q10, "contact"),
+        ["2*x*y^2+3/2*y*z^2+x*z", "4/3*x^2*y+x*z^2+y^2", "6*x*y*z+4*z^3+x^2",
+         "-3*x*y^3*z-9/4*y^2*z^3+z^4"],
+        [(1, 0, 1), (0, 2, 0), (2, 0, 0), (0, 0, 4)],
+    ),
+    "t45-f2": (
+        (2, "x,y", PINNED_T45, "contact"),
+        ["y^4", "x^2*y^2", "x^3*y^2+y^5+x^4+x^2*y^2"],
+        [(0, 4), (2, 2), (4, 0)],
+    ),
+    "t57-f2": (
+        (2, "x,y", PINNED_T57, "contact"),
+        ["y^7+x^5+x^2*y^2", "x^4", "y^6"],
+        [(2, 2), (4, 0), (0, 6)],
+    ),
+    "t45-f3": (
+        (3, "x,y", PINNED_T45, "contact"),
+        ["x^3*y+y^4+x^2*y", "x^3+2*x*y^2", "x^4*y+x*y^4+x*y^3", "2*x^4*y^2+2*x*y^5+y^5"],
+        [(2, 1), (3, 0), (1, 3), (0, 5)],
+    ),
+    "t57-f3": (
+        (3, "x,y", PINNED_T57, "contact"),
+        ["x^4+x^3*y+x*y^2", "2*y^6+x^4+x^2*y", "y^7+x^5", "x^2*y^6+x*y^7+y^7"],
+        [(1, 2), (2, 1), (5, 0), (0, 7)],
+    ),
+    "t45-f5": (
+        (5, "x,y", PINNED_T45, "contact"),
+        ["x^3*y+x^2*y", "2*x^2*y^2+x^3+3*x*y^2", "3*x^4*y+4*x^2*y^3+x*y^3", "4*x^4*y^2+y^5"],
+        [(2, 1), (3, 0), (1, 3), (0, 5)],
+    ),
+    "t57-f5": (
+        (5, "x,y", PINNED_T57, "contact"),
+        ["4*x^3*y+x*y^2", "y^6+x^4+x^2*y", "x^5+x^4*y", "3*x^2*y^6+4*x*y^7+y^7"],
+        [(1, 2), (2, 1), (5, 0), (0, 7)],
+    ),
+    "t45-f7": (
+        (7, "x,y", PINNED_T45, "contact"),
+        ["x^3*y+6*y^4+x^2*y", "6*x^2*y^2+x^3+4*x*y^2", "5*x^4*y+5*x^2*y^3+2*x*y^4+x*y^3",
+         "6*x^4*y^2+x*y^5+y^5"],
+        [(2, 1), (3, 0), (1, 3), (0, 5)],
+    ),
+    "t57-f7": (
+        (7, "x,y", PINNED_T57, "contact"),
+        ["6*x^4+4*x^3*y+x*y^2", "x^4+x^2*y", "x^5+4*x^4*y", "5*x^6*y^2+y^7"],
+        [(1, 2), (2, 1), (5, 0), (0, 7)],
+    ),
+    "infinite": (
+        (0, "x,y", "x^2*y^2+x^5", "right"),
+        ["5/2*x^4+x*y^2", "x^2*y", "x^5"],
+        [(1, 2), (2, 1), (5, 0)],
+    ),
+    "saturate-one": (
+        (0, "x,y", PINNED_SAT, "1"),
+        ["x*y^4-x^3*y-2*x^2*y^2", "x^2*y^3+x^4-3*x*y^2", "x^4*y+x^3*y^2-3/2*x*y^3",
+         "x^6-x^5*y-2*x^4*y^2+3/2*x*y^5-3*x^3*y^2"],
+        [(1, 4), (2, 3), (4, 1), (6, 0)],
+    ),
+    "saturate-x": (
+        (0, "x,y", PINNED_SAT, "x"),
+        ["x*y-y^2+2*x-3/2", "y^3-x^2-2*x*y", "x^3+2*x^2*y+x*y^2-3/2*y^2-3/2*x-3*y"],
+        [(1, 1), (0, 3), (3, 0)],
+    ),
+    "saturate-x-f5": (
+        (5, "x,y", PINNED_SAT, "x"),
+        ["x*y+4*y^2+2*x+1", "y^3+4*x^2+3*x*y", "x^3+2*x^2*y+x*y^2+y^2+x+2*y"],
+        [(1, 1), (0, 3), (3, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_BASES))
+def test_pinned_bases(case):
+    """Local standard bases of mode ideals, and saturations of one ideal by 1
+    and by x, equal the bases recorded before the completion loop was
+    rewritten: generators with their tails, and leading monomials."""
+    (char, names, source, what), want_gens, want_lms = PINNED_BASES[case]
+    ring = Ring(char, tuple(names.split(",")))
+    if case.startswith("saturate"):
+        gens = [P(ring, text) for text in source]
+        basis = saturate(gens, P(ring, what))
+        lms = [leading_monomial(g, degrevlex_key) for g in basis]
+    else:
+        sb = std_basis(mode_ideal_gens(P(ring, source), what))
+        basis, lms = sb.generators, list(sb.leading_monomials)
+    assert [poly_to_string(g) for g in basis] == want_gens
+    assert lms == want_lms
 
 
 chars = st.sampled_from([2, 3, 5])
