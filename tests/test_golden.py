@@ -7,7 +7,9 @@ cases cover the facets and vertices of a three-variable Newton diagram
 (`newton`), a diagram extended by a virtual point (`cpoly`) and two
 non-quasihomogeneous `classify` inputs: one whose weight systems have no
 one-dimensional solution space, and one with a ray of weights that
-vanishes on an axis.
+vanishes on an axis.  Two more pin the polytope code: a plane diagram
+extended by a virtual point on one axis (`cpoly`), and a three-variable
+diagram with a vertex on no compact facet (`newton`).
 A last `conditions` case over F_2 has a witness ray in both modes.
 
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py`, only
@@ -44,6 +46,8 @@ CASES = [
     ["cpoly", "--vars", "x,y,z", "x^3+x*y^3+z^2"],
     ["classify", "--vars", "x,y,z", "x^3+x*y^3+z^2+y^5"],
     ["classify", "--vars", "x,y", "--weights", "1,1", "--scan-bound", "4", "x^2+x^2*y"],
+    ["cpoly", "--vars", "x,y", "x^5+x^2*y^2"],
+    ["newton", "--vars", "x,y,z", "x*y^2*z^2+x^2*y*z+x^2*y^5+x^4*z^4"],
 ]
 
 # Kept out of CASES so that the parametrized ids above stay `conditions`,
