@@ -42,15 +42,6 @@ from possing.poly import (
 )
 
 
-def leading_monomial(f: Poly, key) -> Mono:
-    return max(f.terms, key=key)
-
-
-def _monic(f: Poly, key) -> Poly:
-    lm = leading_monomial(f, key)
-    return f.scale(f.ring.cinv(f.terms[lm]))
-
-
 @dataclass(frozen=True)
 class StandardBasis:
     """Local standard basis with its leading monomials."""
@@ -68,8 +59,9 @@ def _buchberger(gens: list, key) -> list:
 
     `key` maps a monomial to a flat tuple of ints whose maximum marks the
     leading monomial.  The loop works on plain term dicts specialised to the
-    field, and builds Polys only on return.  Each basis element is kept
-    monic, as its leading monomial and a list of tail terms.  Over F_p the
+    field, and builds Polys only on return, as (leading monomial, monic
+    Poly) pairs.  Each basis element is kept monic, as its leading monomial
+    and a list of tail terms.  Over F_p the
     coefficients are residues in [0, p) combined inline with `% p`; over Q
     they are `Fraction`s combined with the plain operators.
 
@@ -197,21 +189,15 @@ def _buchberger(gens: list, key) -> list:
             for k in range(new):
                 queue(k, new)
     one = ring.coeff(1)
-    return [Poly(ring, dict([(lm, one), *tail])) for lm, tail in zip(lms, tails)]
+    return [(lm, Poly(ring, dict([(lm, one), *tail]))) for lm, tail in zip(lms, tails)]
 
 
-def _minimalize(basis: list, key) -> list:
-    lms = [leading_monomial(g, key) for g in basis]
-    keep = []
-    for i, lm in enumerate(lms):
-        if any(
-            mono_divides(lms[j], lm) and (lms[j] != lm or j < i)
-            for j in range(len(basis))
-            if j != i
-        ):
-            continue
-        keep.append(i)
-    kept = [(lms[i], basis[i]) for i in keep]
+def _minimalize(basis: list) -> list:
+    """The (leading monomial, element) pairs whose leading monomial no other
+    one divides, the first of equal ones kept, sorted by degrevlex."""
+    kept = [(lm, g) for i, (lm, g) in enumerate(basis)
+            if not any(mono_divides(other, lm) and (other != lm or j < i)
+                       for j, (other, _) in enumerate(basis) if j != i)]
     kept.sort(key=lambda pair: degrevlex_key(pair[0]))
     return kept
 
@@ -231,15 +217,6 @@ def _homogenize(ring_t: Ring, f: Poly) -> Poly:
     return Poly(ring_t, {m + (d - sum(m),): c for m, c in f.terms.items()})
 
 
-def _dehomogenize(ring: Ring, f: Poly) -> Poly:
-    acc = {}
-    for m, c in f.terms.items():
-        x = m[:-1]
-        prev = acc.get(x)
-        acc[x] = c if prev is None else ring.cadd(prev, c)
-    return Poly(ring, {m: c for m, c in acc.items() if c})
-
-
 def std_basis(gens: Iterable) -> StandardBasis:
     """Standard basis under the local degree order, by Lazard's method.
 
@@ -251,6 +228,15 @@ def std_basis(gens: Iterable) -> StandardBasis:
     Zero generators are dropped; at least one generator must be nonzero.
     The returned generators are monic with pairwise non-divisible leading
     monomials.
+
+    Dehomogenizing is dropping the tag variable, and it keeps each leading
+    monomial and its coefficient 1.  The lifted generators are homogeneous,
+    and so is every s-polynomial and remainder of homogeneous elements
+    under a degree-first order, so every basis element is homogeneous, of
+    some degree d.  Its terms x^a t^(d-|a|) are then told apart by their
+    x-parts, so no two merge, and under `_homog_key` they compare by the
+    local order of the x-part: the leading term dehomogenizes to the local
+    leading term.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -260,10 +246,8 @@ def std_basis(gens: Iterable) -> StandardBasis:
         raise RingError("mixed ring contexts")
     ring_t = _with_tag_variable(ring)
     lifted = [_homogenize(ring_t, g) for g in gens]
-    homog_basis = _buchberger(lifted, _homog_key)
-    basis = [_dehomogenize(ring, h) for h in homog_basis]
-    basis = [g for g in basis if not g.is_zero()]
-    kept = _minimalize([_monic(g, local_key) for g in basis], local_key)
+    kept = _minimalize([(lm[:-1], _drop_tag(ring, h))
+                        for lm, h in _buchberger(lifted, _homog_key)])
     return StandardBasis(
         generators=tuple(g for _, g in kept),
         leading_monomials=tuple(lm for lm, _ in kept),
@@ -371,6 +355,10 @@ def saturate(gens: Iterable, g: Poly) -> list:
     and sorted by leading monomial: with g = 1 this is a minimal degrevlex
     Groebner basis of the ideal itself.  Works in the polynomial ring, not
     the local ring.
+
+    Under the elimination order an element's leading monomial has its
+    largest t-degree, so the element is free of t exactly when its leading
+    monomial is: the test reads lm[-1] alone.
     """
     if g.is_zero():
         raise ValueError("cannot saturate by zero")
@@ -381,9 +369,9 @@ def saturate(gens: Iterable, g: Poly) -> list:
     ring_t = _with_tag_variable(ring)
     lifted = [_lift(ring_t, p, 0) for p in gens]
     lifted.append(ring_t.one() - _lift(ring_t, g, 1))
-    basis = _buchberger(lifted, _elim_key)
-    free = [_drop_tag(ring, b) for b in basis if all(m[-1] == 0 for m in b.terms)]
-    return [p for _, p in _minimalize(free, degrevlex_key)]
+    free = [(lm[:-1], _drop_tag(ring, b)) for lm, b in _buchberger(lifted, _elim_key)
+            if not lm[-1]]
+    return [p for _, p in _minimalize(free)]
 
 
 # -- brute-force oracle ---------------------------------------------------------

@@ -298,79 +298,41 @@ def _region_vertices(lambdas: list, n: int) -> list:
     return verts
 
 
-def _enumerate_faces(lambdas: list, vertices: list, n: int) -> list:
-    facet_count = len(lambdas)
-    by_vertexset = {}
-    for j in range(facet_count):
-        vj = [v for v in vertices if _dot(lambdas[j], v) == 1]
-        others = [("w", k) for k in range(facet_count) if k != j] + [
-            ("a", i) for i in range(n)
-        ]
-        # close {facet} under single constraint cuts; a face cut out by a set
-        # of constraints is reached by applying them one at a time
-        candidates = {frozenset(vj)}
-        frontier = set(candidates)
-        while frontier:
-            nxt = set()
-            for vs in frontier:
-                for kind, idx in others:
-                    if kind == "w":
-                        cut = frozenset(v for v in vs if _dot(lambdas[idx], v) == 1)
-                    else:
-                        cut = frozenset(v for v in vs if v[idx] == 0)
-                    if cut and cut not in candidates:
-                        candidates.add(cut)
-                        nxt.add(cut)
-            frontier = nxt
-        for vs in candidates:
-            by_vertexset.setdefault(vs, None)
-    faces = []
-    for vs in sorted(by_vertexset, key=lambda s: (len(s), sorted(map(tuple, s)))):
-        pts = sorted(vs)
-        tight_w = frozenset(
-            j for j in range(facet_count) if all(_dot(lambdas[j], v) == 1 for v in pts)
-        )
-        faces.append(
-            Face(
-                vertices=tuple(tuple(v) for v in pts),
-                dimension=_affine_rank(pts),
-                weight_indices=tight_w,
-                inner=not any(all(v[i] == 0 for v in pts) for i in range(n)),
-            )
-        )
-    return faces
+def _build_polytope(lambdas: list, vertices: list, n: int, virtual_points=()) -> CPolytope:
+    """Assemble a CPolytope from distinct strictly positive normalized forms
+    and the vertices of their region {r >= 0 : lambda . r >= 1}.
 
-
-def _build_polytope(lambdas: list, n: int, virtual_points=()) -> CPolytope:
-    """Assemble a CPolytope from normalized rational facet forms."""
-    # dedupe
-    uniq = []
-    for lam in lambdas:
-        lam = tuple(Fraction(c) for c in lam)
-        if any(c <= 0 for c in lam):
-            raise PolytopeError("weight vectors must be strictly positive")
-        if lam not in uniq:
-            uniq.append(lam)
-    vertices = _region_vertices(uniq, n)
-    if not vertices:
-        raise PolytopeError("weight system defines no polytope")
-    # keep forms whose facet has full dimension n-1 (irredundancy)
-    essential = []
-    for lam in uniq:
-        tight = [v for v in vertices if _dot(lam, v) == 1]
-        if _affine_rank(tight) == n - 1:
-            essential.append(lam)
-    if not essential:
-        raise PolytopeError("no weight form supports a facet")
-    essential.sort()
+    Each constraint's tight vertex set is computed once.  The forms whose
+    set has affine rank n-1 support facets and are kept (irredundancy); the
+    faces are the nonempty intersections of a facet's set with any of the
+    others, axes included, and their tight forms and axes are read off the
+    same sets.
+    """
+    tight = {lam: frozenset(v for v in vertices if _dot(lam, v) == 1) for lam in lambdas}
+    essential = sorted(lam for lam in lambdas if _affine_rank(list(tight[lam])) == n - 1)
+    facets = [tight[lam] for lam in essential]
+    axes = [frozenset(v for v in vertices if not v[i]) for i in range(n)]
+    found = set(facets)
+    frontier = found
+    while frontier:
+        frontier = {vs & cut for vs in frontier for cut in facets + axes} - found - {frozenset()}
+        found |= frontier
+    faces = tuple(
+        Face(
+            vertices=pts,
+            dimension=_affine_rank(list(pts)),
+            weight_indices=frozenset(j for j, fs in enumerate(facets) if vs <= fs),
+            inner=not any(vs <= fs for fs in axes),
+        )
+        for vs, pts in sorted(((vs, tuple(sorted(vs))) for vs in found),
+                              key=lambda item: (len(item[1]), item[1]))
+    )
     scale = lcm(*[c.denominator for lam in essential for c in lam])
-    weights = tuple(tuple(int(c * scale) for c in lam) for lam in essential)
-    faces = _enumerate_faces(essential, vertices, n)
     return CPolytope(
-        weights=weights,
+        weights=tuple(tuple(int(c * scale) for c in lam) for lam in essential),
         nscale=scale,
-        vertices=tuple(tuple(v) for v in sorted(vertices)),
-        faces=tuple(faces),
+        vertices=tuple(sorted(vertices)),
+        faces=faces,
         virtual_points=tuple(tuple(p) for p in virtual_points),
     )
 
@@ -380,13 +342,15 @@ def cpolytope_from_weights(ws: Iterable) -> CPolytope:
 
     Redundant vectors (those not supporting a facet) are dropped.
     """
-    ws = [tuple(Fraction(c) for c in w) for w in ws]
+    ws = list(dict.fromkeys(tuple(Fraction(c) for c in w) for w in ws))
     if not ws:
         raise PolytopeError("need at least one weight vector")
     n = len(ws[0])
     if any(len(w) != n for w in ws):
         raise PolytopeError("weight vectors of mixed arity")
-    return _build_polytope(ws, n)
+    if any(c <= 0 for w in ws for c in w):
+        raise PolytopeError("weight vectors must be strictly positive")
+    return _build_polytope(ws, _region_vertices(ws, n), n)
 
 
 # -- Newton polyhedron ----------------------------------------------------------
@@ -437,6 +401,18 @@ def newton_diagram(f: Poly) -> NewtonData:
        v > 0.  Conversely a compact facet has w >= 0 (G + R^n_+ = G) with
        no zero entry (else the facet holds x + t e_i), so w / c lies in D
        and is tight at n linearly independent facet points: a vertex.
+    5. The vertices of G come by a rank test, with no second enumeration
+       (`_diagram_vertices`).  A point of the polyhedron of step 2 is a
+       vertex exactly when its tight constraints, the v in V with
+       v . x = 1 and the axes with x_i = 0, have rank n.  Every vertex is
+       a minimal point: a support point q above another one b is inside
+       the segment from b to q + (q - b), which lies in G.
+    6. If the diagram is convenient, each axis carries a pure power
+       k e_i, k > 0, among the minimal points, so every w in D has
+       k w_i >= 1 and V is strictly positive.  By step 4 every v in V is
+       then a compact facet form, and by step 2 these forms alone cut G
+       out of the orthant: the CPolytope of the forms is G, with the
+       vertices of step 5 (`cpolytope_from_poly`).
     """
     if f.is_zero():
         raise PolytopeError("zero polynomial has no Newton diagram")
@@ -450,20 +426,22 @@ def newton_diagram(f: Poly) -> NewtonData:
         tight = tuple(sorted(p for p in minimal if _dot(lam, p) == 1))
         facets.append(((w, _dot(w, tight[0])), tight))
     facets.sort()
-    verts = sorted(tuple(int(c) for c in v) for v in _region_vertices(dual, n))
     return NewtonData(
         support=tuple(support),
         facet_forms=tuple(form for form, _ in facets),
         facet_points=tuple(tight for _, tight in facets),
-        vertices=tuple(verts),
+        vertices=tuple(sorted(_diagram_vertices(minimal, dual, n))),
         convenient=not _missing_axes(support, n),
     )
 
 
-def _facet_lambdas(support: list, n: int) -> list:
-    """The normalized compact facet forms of the diagram: the strictly
-    positive vertices of its dual region (newton_diagram, step 4)."""
-    return [v for v in _region_vertices(_minimal_points(support), n) if all(v)]
+def _diagram_vertices(minimal: list, dual: list, n: int) -> list:
+    """The minimal points whose tight dual vertices and axes have rank n:
+    the vertices of the diagram (newton_diagram, step 5)."""
+    return [p for p in minimal
+            if len(_independent([v for v in dual if _dot(v, p) == 1]
+                                + [[int(j == i) for j in range(n)] for i in range(n)
+                                   if not p[i]])) == n]
 
 
 def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
@@ -488,13 +466,13 @@ def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
         qh = detect_qh(f)
         if qh is None:
             raise PolytopeError("input is not quasihomogeneous; cannot use single-weight rule")
-        lam = [Fraction(wi, qh.degree) for wi in qh.weights]
-        return _build_polytope([lam], n)
+        lam = tuple(Fraction(wi, qh.degree) for wi in qh.weights)
+        return _build_polytope([lam], _region_vertices([lam], n), n)
     if rule != "extend":
         raise PolytopeError("unknown extension rule %r" % rule)
     support = list(f.support())
-    lambdas = _facet_lambdas(support, n)
     missing = _missing_axes(support, n)
+    lambdas = [v for v in _region_vertices(_minimal_points(support), n) if all(v)] if missing else []
     if missing and not lambdas:
         from possing.localalg import tjurina
 
@@ -510,9 +488,11 @@ def cpolytope_from_poly(f: Poly, rule: str = "extend") -> CPolytope:
         if m_i <= 0:
             raise PolytopeError("extension failed to produce a convenient diagram")
         virtual.append(tuple(m_i if j == i else 0 for j in range(n)))
-    if virtual:
-        lambdas = _facet_lambdas(support + virtual, n)
-    return _build_polytope(lambdas, n, virtual_points=virtual)
+    # the support is convenient now, so its diagram is the polytope (step 6)
+    minimal = _minimal_points(support + virtual)
+    dual = _region_vertices(minimal, n)
+    vertices = [tuple(map(Fraction, p)) for p in _diagram_vertices(minimal, dual, n)]
+    return _build_polytope(dual, vertices, n, virtual_points=virtual)
 
 
 # -- valuations -----------------------------------------------------------------

@@ -7,7 +7,6 @@ from possing.localalg import (
     bruteforce_local_dim,
     bruteforce_vdim,
     jacobian_ideal_gens,
-    leading_monomial,
     local_dimension,
     milnor,
     mode_ideal_gens,
@@ -260,7 +259,7 @@ def test_pinned_bases(case):
     if case.startswith("saturate"):
         gens = [P(ring, text) for text in source]
         basis = saturate(gens, P(ring, what))
-        lms = [leading_monomial(g, degrevlex_key) for g in basis]
+        lms = [max(g.terms, key=degrevlex_key) for g in basis]
     else:
         sb = std_basis(mode_ideal_gens(P(ring, source), what))
         basis, lms = sb.generators, list(sb.leading_monomials)
@@ -413,7 +412,7 @@ def test_global_basis_agrees_with_sympy(char, gen_terms):
     oracle = _sympy_groebner(gens, char, xs)
     oracle_lms = [sympy.Poly(e, *xs).monoms(order="grevlex")[0] for e in oracle.exprs]
     basis = saturate(gens, ring.one())
-    assert sorted(leading_monomial(p, degrevlex_key) for p in basis) == sorted(oracle_lms)
+    assert sorted(max(p.terms, key=degrevlex_key) for p in basis) == sorted(oracle_lms)
     assert all(oracle.contains(_sympy_expr(p, xs)) for p in basis)
 
 

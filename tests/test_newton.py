@@ -1,7 +1,7 @@
 import heapq
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -158,6 +158,29 @@ class TestFromPoly:
         with pytest.raises(PolytopeError):
             cpolytope_from_poly(P(RQ, "1+x"))
 
+    def test_one_enumeration_per_polytope(self, monkeypatch):
+        """One `_region_vertices` pass per polytope, on the weight forms or on
+        the convenient diagram; a non-convenient diagram adds the pass that
+        places its virtual points."""
+        import possing.newton
+
+        calls = []
+        region_vertices = possing.newton._region_vertices
+
+        def counted(lambdas, n):
+            calls.append(n)
+            return region_vertices(lambdas, n)
+
+        monkeypatch.setattr(possing.newton, "_region_vertices", counted)
+        for build, expected in (
+            (lambda: cpolytope_from_poly(P(RQ, "x^3+y^4")), 1),
+            (lambda: cpolytope_from_poly(P(RQ, "x^5+x^2*y^2")), 2),
+            (lambda: cpolytope_from_weights([(1, 2), (3, 1)]), 1),
+        ):
+            calls.clear()
+            build()
+            assert len(calls) == expected
+
 
 def minimal_points(support):
     return [
@@ -248,6 +271,36 @@ def test_diagram_facets_match_oracle(support):
     facets = oracle_facets(support, n)
     assert nd.facet_forms == tuple(form for form, _ in facets)
     assert nd.facet_points == tuple(tight for _, tight in facets)
+
+
+def scaled_forms(facets):
+    """(weights, nscale) of the oracle facets, scaled as `_build_polytope`
+    scales its forms: the forms w / c sorted, times the lcm of their
+    denominators."""
+    lams = sorted(tuple(Fraction(a, c) for a in w) for (w, c), _ in facets)
+    scale = lcm(*(x.denominator for lam in lams for x in lam))
+    return tuple(tuple(int(x * scale) for x in lam) for lam in lams), scale
+
+
+def poly_of(support):
+    n = len(next(iter(support)))
+    return Ring(0, ("x", "y", "z")[:n]).poly([(m, 1) for m in support])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_supports)
+def test_polytope_from_poly_matches_oracle(support):
+    """The polytope of the (extended) diagram has the brute-force vertices
+    and compact facets of the extended support."""
+    n = len(next(iter(support)))
+    assume((0,) * n not in support)
+    f = poly_of(support)
+    nd = newton_diagram(f)
+    assume(nd.convenient or nd.facet_forms)  # else M_i comes from the Tjurina number
+    Pd = cpolytope_from_poly(f)
+    extended = support | set(Pd.virtual_points)
+    assert Pd.vertices == oracle_vertices(extended, n)
+    assert (Pd.weights, Pd.nscale) == scaled_forms(oracle_facets(extended, n))
 
 
 class TestValuation:
@@ -390,6 +443,56 @@ def test_monomials_of_valuation_complete(ws, d, data):
     )
     assert _lattice_sweep(Pw, 0, d) == box_filter(Pw, zero, 0, d)
     assert _lattice_sweep(Pw, lo, d, shifts) == box_filter(Pw, shifts, lo, d)
+
+
+def oracle_faces(Pw) -> dict:
+    """vertex set -> (weight indices, inner, dimension) of every face.
+
+    Every subset of the constraints (facet forms and axes) that holds a
+    facet form cuts out the face of the vertices tight at all of it, when
+    there is one.
+    """
+    n = Pw.nvars
+    constraints = [("w", j) for j in range(len(Pw.weights))] + [("a", i) for i in range(n)]
+
+    def tight(constraint, v):
+        kind, k = constraint
+        if kind == "a":
+            return v[k] == 0
+        return sum(a * b for a, b in zip(Pw.weights[k], v)) == Pw.nscale
+
+    faces = {}
+    for size in range(1, len(constraints) + 1):
+        for subset in combinations(constraints, size):
+            vs = frozenset(v for v in Pw.vertices if all(tight(c, v) for c in subset))
+            if vs and any(kind == "w" for kind, _ in subset):
+                base = min(vs)
+                faces[vs] = (
+                    frozenset(j for j in range(len(Pw.weights))
+                              if all(tight(("w", j), v) for v in vs)),
+                    not any(all(tight(("a", i), v) for v in vs) for i in range(n)),
+                    minor_rank([[a - b for a, b in zip(v, base)] for v in vs if v != base]),
+                )
+    return faces
+
+
+convenient_supports = small_supports.flatmap(
+    lambda s: st.tuples(*[st.integers(1, 6)] * len(next(iter(s)))).map(
+        lambda ks: {p for p in s if any(p)}
+        | {tuple(k * (i == j) for j in range(len(ks))) for i, k in enumerate(ks)}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(weightvecs, weightvecs3, convenient_supports))
+def test_faces_match_oracle(source):
+    """The faces of weight polytopes and convenient diagrams are exactly
+    the brute-force tight vertex sets, with their tightness data."""
+    Pw = cpolytope_from_poly(poly_of(source)) if isinstance(source, set) \
+        else cpolytope_from_weights(source)
+    faces = {frozenset(face.vertices): (face.weight_indices, face.inner, face.dimension)
+             for face in Pw.faces}
+    assert len(faces) == len(Pw.faces)
+    assert faces == oracle_faces(Pw)
 
 
 def det(mat) -> Fraction:
