@@ -287,7 +287,7 @@ def poly_of(support):
     return Ring(0, ("x", "y", "z")[:n]).poly([(m, 1) for m in support])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(small_supports)
 def test_polytope_from_poly_matches_oracle(support):
     """The polytope of the (extended) diagram has the brute-force vertices
