@@ -208,6 +208,10 @@ def cmd_inform(args, ring, f):
 
 def cmd_conditions(args, ring, f):
     P, prov = build_polytope(args, ring, f)
+    return _conditions(args, P, f), prov
+
+
+def _conditions(args, P, f) -> dict:
     out = {}
     for mode, local_name in (("right", "milnor"), ("contact", "tjurina")):
         # one regular basis per mode: exactness is finiteness plus a count
@@ -221,7 +225,7 @@ def cmd_conditions(args, ring, f):
             for key in (finite_key, exact_key):
                 witnesses[key] = list(rep.basis.witness_ray.direction)
         out[exact_key] = rep.holds
-    return out, prov
+    return out
 
 
 def cmd_regbasis(args, ring, f):
@@ -267,8 +271,7 @@ def cmd_classify(args, ring, f):
         result["semi_quasihomogeneous_%s" % mode] = rep.semi
         result["principal_invariant_%s" % mode] = _jsonify(rep.principal_invariant)
     result["inner_nondegenerate"] = innd_check(f, P).nondegenerate
-    conds, _ = cmd_conditions(args, ring, f)
-    result.update(conds)
+    result.update(_conditions(args, P, f))
     if ring.char == 0 and result["milnor"] != "inf":
         result["milnor_equals_tjurina"] = saito_check(f)
     return result, prov

@@ -204,13 +204,6 @@ class RayCriterionReport:
         return None
 
 
-def _default_scan_bound(local_dim) -> int:
-    """Ray scan bound from the Milnor or Tjurina number of f."""
-    if local_dim == INFINITY:
-        return 24
-    return max(16, 4 * int(local_dim))
-
-
 def ray_criterion(alg: GradedAlgebra, scan_bound: Optional[int] = None) -> RayCriterionReport:
     """Scan each vertex ray of alg's polytope for a vanishing lattice monomial.
 
@@ -220,10 +213,11 @@ def ray_criterion(alg: GradedAlgebra, scan_bound: Optional[int] = None) -> RayCr
     invariant of alg's mode.  A scan bound below 1 checks no multiple and
     is refused with ValueError.
     """
-    if scan_bound is not None and scan_bound < 1:
-        raise ValueError("scan bound must be at least 1, got %d" % scan_bound)
     if scan_bound is None:
-        scan_bound = _default_scan_bound(local_dimension(alg.f, alg.mode))
+        local_dim = local_dimension(alg.f, alg.mode)
+        scan_bound = 24 if local_dim == INFINITY else max(16, 4 * int(local_dim))
+    if scan_bound < 1:
+        raise ValueError("scan bound must be at least 1, got %d" % scan_bound)
     rays = []
     for face in alg.P.faces:
         if face.dimension != 0:
@@ -346,10 +340,8 @@ def check_condition(
     number; mode 'contact' the Tjurina flavor against the Tjurina number.
     Exactness means finiteness with graded dimension equal to the local one.
     """
-    local_dim = local_dimension(f, mode)
-    if scan_bound is None:
-        scan_bound = _default_scan_bound(local_dim)
     rb = regular_basis(P, f, mode, scan_bound=scan_bound)
+    local_dim = local_dimension(f, mode)  # remembered on f if the scan used it
     if not rb.finite and local_dim != INFINITY and rb.witness_ray is None:
         raise AssertionError("finite local dimension but no witness ray found")
     return ConditionReport(

@@ -299,14 +299,27 @@ def mode_ideal_gens(f: Poly, mode: str) -> list:
 
 def local_dimension(f: Poly, mode: str):
     """Colength of the ideal of mode in K[[x]] (see `mode_ideal_gens`): the
-    Milnor number for 'right', the Tjurina number for 'contact'."""
-    gens = mode_ideal_gens(f, mode)
-    if f.constant_term():
-        raise ValueError("%s requires an input without constant term"
-                         % ("milnor" if mode == "right" else "tjurina"))
-    if not gens:
-        return INFINITY
-    return vdim(std_basis(gens))
+    Milnor number for 'right', the Tjurina number for 'contact'.
+
+    The package's one caller of `std_basis`; the value is remembered on f,
+    per mode.  A generator with a nonzero constant term is a unit of K[[x]],
+    so the ideal is the whole ring, of colength 0 with no basis needed.
+    """
+    memo = f._local_dims
+    if memo is None:
+        memo = f._local_dims = {}
+    if mode not in memo:
+        gens = mode_ideal_gens(f, mode)
+        if f.constant_term():
+            raise ValueError("%s requires an input without constant term"
+                             % ("milnor" if mode == "right" else "tjurina"))
+        if not gens:
+            memo[mode] = INFINITY
+        elif any(g.constant_term() for g in gens):
+            memo[mode] = 0
+        else:
+            memo[mode] = vdim(std_basis(gens))
+    return memo[mode]
 
 
 def milnor(f: Poly):

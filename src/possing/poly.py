@@ -3,7 +3,9 @@
 Monomials are exponent tuples; a polynomial is a map from monomials to
 nonzero coefficients.  Over F_p coefficients are ints in [0, p); over Q
 they are Fractions.  Everything is immutable after construction and all
-operations are pure, so values can be shared freely.
+operations are pure, so values can be shared freely.  A Poly remembers
+its hash and its Milnor and Tjurina numbers (`localalg.local_dimension`);
+a filter that keeps every term returns its input, memo and all.
 
 Power series never appear as data: series-producing operations (inverse,
 composition) take an explicit total-degree cutoff and return polynomials
@@ -160,12 +162,13 @@ class Ring:
 class Poly:
     """Immutable sparse polynomial attached to a Ring."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_local_dims")
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._local_dims = None  # mode -> colength, filled by localalg.local_dimension
 
     # -- basic queries -------------------------------------------------------
 
@@ -276,7 +279,9 @@ class Poly:
         return Poly(self.ring, {m: c for m, c in self.terms.items() if sum(m) <= cutoff})
 
     def filter_terms(self, keep) -> "Poly":
-        return Poly(self.ring, {m: c for m, c in self.terms.items() if keep(m)})
+        """The terms whose monomial passes keep; self when all of them do."""
+        terms = {m: c for m, c in self.terms.items() if keep(m)}
+        return self if len(terms) == len(self.terms) else Poly(self.ring, terms)
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative along variable i (0-based); exponents reduce mod p."""

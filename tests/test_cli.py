@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import time
@@ -163,6 +164,62 @@ class TestCommands:
         )
         assert code == 0
         assert rep["result"]["filtered_bound"] == 5
+
+
+README_CLASSIFY = ["classify", "--vars", "x,y,z", "--weights", "9,8,6", "x^2*z+y^3+z^4"]
+README_DETERMINACY = ["determinacy", "--char", "3", "--vars", "x,y", "--mode", "contact",
+                      "x^12+x^3*y^2+y^3"]
+UNIT_GERM = "x^6*y^6*z^5+x^6*y^5*z^3+y^6*z^6+x^6*y^5+x^5*y^2*z^3+y*z+x"
+
+
+def counting(monkeypatch, target: str) -> list:
+    """Wrap the function at the dotted path target; the list of its calls."""
+    module, name = target.rsplit(".", 1)
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, counted)
+    return calls
+
+
+class TestOneInvariantPerPolynomial:
+    """Each command parses a fresh polynomial, whose Milnor and Tjurina
+    numbers are remembered on it: one Lazard standard basis per value."""
+
+    @pytest.mark.parametrize("argv, runs", [
+        (README_CLASSIFY, 2),
+        (README_DETERMINACY, 1),
+        (["conditions", "--char", "3", "--vars", "x,y", "x^12+x^3*y^2+y^3"], 2),
+    ])
+    def test_lazard_runs(self, monkeypatch, argv, runs):
+        calls = counting(monkeypatch, "possing.localalg.std_basis")
+        code, _, err = invoke(argv)
+        assert code == 0, err
+        assert len(calls) == runs
+
+    @pytest.mark.parametrize("command, key", [("mu", "milnor"), ("tau", "tjurina")])
+    def test_unit_ideal_needs_no_basis(self, monkeypatch, command, key):
+        """f_x has constant term 1, a unit of K[[x]]: both colengths are 0."""
+        calls = counting(monkeypatch, "possing.localalg.std_basis")
+        code, rep, _ = invoke_json([command, "--vars", "x,y,z", UNIT_GERM])
+        assert code == 0 and rep["result"] == {key: 0}
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        README_CLASSIFY,
+        ["classify", "--char", "3", "--vars", "x,y", "x^12+x^3*y^2+y^3"],
+        ["classify", "--vars", "x,y", "x^5+x^2*y^2"],
+    ])
+    def test_classify_builds_one_polytope(self, monkeypatch, argv):
+        from_poly = counting(monkeypatch, "possing.cli.cpolytope_from_poly")
+        from_weights = counting(monkeypatch, "possing.cli.cpolytope_from_weights")
+        code, _, err = invoke(argv)
+        assert code == 0, err
+        assert len(from_poly) + len(from_weights) == 1
 
 
 class TestRefusals:

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level function or class of the package goes unused, no public
 entry point is reached by tests alone, no public entry point takes a mode
-beside an object that carries one, and no handler catches every
-exception."""
+beside an object that carries one, no code but `local_dimension` runs a
+local standard basis, and no handler catches every exception."""
 
 import ast
 import functools
@@ -197,6 +197,39 @@ def test_mode_carrier_detector():
         "    def n(self, mode): pass\n"
     )
     assert mode_beside_carrier(source) == [(1, "f"), (5, "m")]
+
+
+def std_basis_uses(source: str) -> list:
+    """(line, module-level definition or None) of each load of `std_basis`,
+    as a name or an attribute: a call, or a reference that could be called."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "std_basis" and isinstance(getattr(node, "ctx", None), ast.Load):
+                found.append((node.lineno, scope))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_local_dimension_runs_std_basis(path):
+    """Milnor and Tjurina numbers are remembered on the Poly by
+    `localalg.local_dimension`; any other caller of `std_basis` would bypass it."""
+    allowed = {"local_dimension"} if path.name == "localalg.py" else set()
+    assert [use for use in std_basis_uses(path.read_text()) if use[1] not in allowed] == []
+
+
+def test_std_basis_detector():
+    source = (
+        "from possing.localalg import std_basis\n"
+        "def local_dimension(f):\n    return std_basis(f)\n"
+        "def g(f):\n    return localalg.std_basis(f)\n"
+        "run = std_basis\n"
+        "class C:\n    def m(self):\n        return [std_basis]\n"
+        "def std_basis(gens):\n    std_basis = None\n"
+    )
+    assert std_basis_uses(source) == [(3, "local_dimension"), (5, "g"), (6, None), (9, "C")]
 
 
 BROAD = {"Exception", "BaseException"}

@@ -22,7 +22,7 @@ from possing.grading import (
     plain_graded_dims,
     regular_basis,
 )
-from possing.newton import cpolytope_from_poly, cpolytope_from_weights
+from possing.newton import cpolytope_from_poly, cpolytope_from_weights, initial_form
 from possing.nondeg import sqh_check
 from possing.normalform import (
     determinacy_filtered,
@@ -102,6 +102,50 @@ class TestMilnorTjurina:
     def test_rejects_units(self):
         with pytest.raises(ValueError):
             milnor(P(RQ, "1+x"))
+
+
+class TestMemo:
+    """`local_dimension` remembers each value on the Poly it was asked about."""
+
+    @pytest.fixture
+    def lazard_runs(self, monkeypatch):
+        import possing.localalg
+
+        calls = []
+
+        def counted(gens):
+            calls.append(gens)
+            return std_basis(gens)
+
+        monkeypatch.setattr(possing.localalg, "std_basis", counted)
+        return calls
+
+    def test_once_per_object_and_mode(self, lazard_runs):
+        f, g = P(RQ, "x^3+x*y^3"), P(RQ, "x^3+x*y^3")
+        assert f == g and f is not g
+        assert [milnor(f), milnor(f), tjurina(f), milnor(g)] == [7, 7, 7, 7]
+        assert len(lazard_runs) == 3
+
+    def test_principal_part_equal_to_f_shares_the_memo(self, lazard_runs):
+        f = P(RQ, "x^3+y^4")
+        assert initial_form(cpolytope_from_poly(f), f) is f
+        assert sqh_check(f, (4, 3), "right").principal_invariant == milnor(f) == 6
+        assert len(lazard_runs) == 1
+
+    def test_unit_generator_gives_zero_without_a_basis(self, lazard_runs):
+        R3 = Ring(0, ("x", "y", "z"))
+        f = P(R3, "x^6*y^6*z^5+x^6*y^5*z^3+y^6*z^6+x^6*y^5+x^5*y^2*z^3+y*z+x")
+        assert (milnor(f), tjurina(f)) == (0, 0)
+        assert lazard_runs == []
+
+    def test_refusals_are_not_remembered(self, lazard_runs):
+        f = P(RQ, "1+x")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                milnor(f)
+        with pytest.raises(ValueError, match="^mode must be"):
+            local_dimension(P(RQ, "x^2+y^3"), "Contact")
+        assert lazard_runs == []
 
 
 MODE_F = P(RQ, "x^3+y^4")

@@ -60,6 +60,14 @@ def test_partial_char2_reduction():
     assert f.partial(1).is_zero()
 
 
+def test_filter_terms_keeps_self_when_nothing_drops():
+    f = P(R2, "x^3+x*y+y^2")
+    assert f.filter_terms(lambda m: True) is f
+    low = f.filter_terms(lambda m: sum(m) <= 2)
+    assert low is not f and low == P(R2, "x*y+y^2")
+    assert f.filter_terms(lambda m: False) == R2.zero()
+
+
 def test_order_examples():
     assert poly_from_string(R3, "x^2*z+y^3+z^4").order() == 3
     assert P(RQ, "1+x").order() == 0
