@@ -12,7 +12,7 @@ separated positive rationals, e.g. --weights "4,6;5,5".
 
 Exit codes: 0 success, 1 usage error, 2 mathematical refusal (for example
 a normal form request whose finiteness condition fails), 3 a failed
-internal consistency check.
+internal consistency check or exhausted memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -439,8 +439,8 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     except (ValueError, ArithmeticError) as exc:
         print("error: invalid: %s" % exc, file=err)
         return USAGE_ERROR
-    except AssertionError as exc:
-        print("error: internal: %s" % exc, file=err)
+    except (AssertionError, MemoryError, RecursionError) as exc:
+        print("error: internal: %s" % (str(exc) or type(exc).__name__), file=err)
         return INTERNAL_ERROR
     report = {
         "command": args.command,

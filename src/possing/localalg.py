@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import count, product
+from itertools import count
 from typing import Iterable
 
 from possing.newton import _filtered_dims, cpolytope_from_weights
@@ -85,10 +85,18 @@ def _buchberger(gens: list, key) -> list:
     below the monomial it clears; so the first popped monomial still
     present is the leading one, and an entry whose monomial has cancelled
     is skipped.
+
+    The first divisor of each monomial is remembered for the whole call:
+    its index once found, or else the number of elements already tried, as
+    that number's bitwise complement.  The basis only grows at its end, so
+    a first divisor once found stays the first, and a miss resumes its
+    scan at the first element not yet tried: the reducer is the one a scan
+    from index 0 would pick, and the basis is the same.
     """
     ring = gens[0].ring
     p = ring.char
     ranks: dict = {}  # monomial -> negated key
+    first: dict = {}  # monomial -> index of its first divisor, or ~elements tried
     lms: list = []  # leading monomial of each basis element
     tails: list = []  # its other terms, as (monomial, coefficient) pairs
     pairs: list = []  # heap of (lcm degree, -insertion counter, lcm, i, j)
@@ -123,13 +131,17 @@ def _buchberger(gens: list, key) -> list:
             c = h.get(lm_h)
             if c is None:
                 continue
-            for k, lm in enumerate(lms):
-                if mono_divides(lm, lm_h):
-                    break
-            else:
-                return lm_h
+            k = first.get(lm_h, -1)
+            if k < 0:  # none among the first ~k elements; scan the rest
+                for k in range(~k, len(lms)):
+                    if mono_divides(lms[k], lm_h):
+                        break
+                else:
+                    first[lm_h] = ~len(lms)
+                    return lm_h
+                first[lm_h] = k
             del h[lm_h]
-            shift = mono_div(lm_h, lm)
+            shift = mono_div(lm_h, lms[k])
             if p:
                 neg = p - c
                 for m, v in tails[k]:
@@ -261,17 +273,28 @@ def vdim(sb: StandardBasis):
     monomials (detected exactly, no timeout heuristics).
     """
     lms = sb.leading_monomials
-    bounds = []
     for i in range(sb.ring.nvars):
-        pure = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
-        if not pure:
+        if not any(all(e == 0 for j, e in enumerate(m) if j != i) for m in lms):
             return INFINITY
-        bounds.append(min(pure))
-    return sum(
-        1
-        for expo in product(*(range(b) for b in bounds))
-        if not any(mono_divides(lm, expo) for lm in lms)
-    )
+    return _standard_count(lms)
+
+
+def _standard_count(lms) -> int:
+    """The number of monomials no member of lms divides, where lms holds a
+    pure power of each variable, counted by slices of fixed last exponent.
+
+    The monomials with last exponent k are standard exactly when their
+    other exponents are standard for the members with last exponent at
+    most k.  That set changes only at those members' last exponents, the
+    first of which is 0, and from the least pure power of the last
+    variable on it holds 1, so no slice there has a standard monomial.
+    """
+    if len(lms[0]) == 1:
+        return min(m[0] for m in lms)
+    top = min(m[-1] for m in lms if not any(m[:-1]))
+    cuts = sorted({m[-1] for m in lms if m[-1] <= top})
+    return sum((hi - lo) * _standard_count([m[:-1] for m in lms if m[-1] <= lo])
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 def jacobian_ideal_gens(f: Poly) -> list:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Optional, Union
 
 INFINITY = float("inf")
@@ -44,19 +45,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The monomial helpers map C-level operators over the exponents, with no
+# Python frame per entry: every layer calls them.
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def degrevlex_key(m: Mono):

@@ -93,6 +93,35 @@ class TestRegularBasis:
         assert rb.dimension == INFINITY
         assert rb.witness_ray.direction == (0, 1)
 
+    def test_wave_char2_infinite_with_witness(self):
+        """Criterion 8's germ over F_2: no multiple of the ray (3, 2) vanishes."""
+        f = P(R2, "x^7+x^3*y^2+y^4")
+        rb = regular_basis(cpolytope_from_poly(f), f, "contact", scan_bound=16)
+        assert not rb.finite
+        assert rb.witness_ray.direction == (3, 2)
+
+    @pytest.mark.parametrize("char,names,text,weights", [
+        (2, "x,y", "x^5+x^2*y^2+y^4", None),
+        (2, "x,y,z", "x^2*z+y^3+z^4", "9/24,8/24,6/24"),
+        (3, "x,y", "x^12+x^3*y^2+y^3", None),
+        *[(c, "x,y", "x^7+x^3*y^2+y^4", None) for c in (0, 5, 3, 2)],
+        *[(c, "x,y,z", "x^3+x*y^3+z^2", "6/18,4/18,9/18") for c in (0, 5, 3, 2)],
+    ])
+    @pytest.mark.parametrize("mode", ["right", "contact"])
+    def test_fixture_germs_infinite_only_with_witness(self, char, names, text, weights,
+                                                      mode):
+        """Every infinite verdict on the acceptance germs carries a witness ray,
+        one none of whose scanned multiples vanished (at any scan bound; a
+        small one keeps this fast)."""
+        f = P(Ring(char, tuple(names.split(","))), text)
+        if weights:
+            Pw = cpolytope_from_weights([tuple(Fraction(w) for w in weights.split(","))])
+        else:
+            Pw = cpolytope_from_poly(f)
+        rb = regular_basis(Pw, f, mode, scan_bound=16)
+        assert rb.finite or (rb.witness_ray is not None
+                             and rb.witness_ray.first_vanishing is None)
+
 
 class TestVanishes:
     def test_e33_vanishing_monomials(self):

@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from possing.localalg import (
     INFINITY,
+    StandardBasis,
     _first_zero_level,
     bruteforce_local_dim,
     bruteforce_vdim,
@@ -76,6 +79,28 @@ class TestVdim:
     def test_missing_pure_power_is_infinite(self):
         sb = std_basis([P(RQ, "x^4")])
         assert vdim(sb) == INFINITY
+
+    def test_huge_pure_power_is_counted_not_enumerated(self):
+        """99,999,999 standard monomials, counted without building their box."""
+        sb = std_basis([P(RQ, "x^99999999"), P(RQ, "y")])
+        assert vdim(sb) == 99_999_999
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 4), min_size=n, max_size=n),
+    st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=4))))
+def test_vdim_slice_count_matches_box_count(lms):
+    """vdim against a count over the box of the given pure powers, which
+    holds every standard monomial."""
+    powers, others = lms
+    n = len(powers)
+    lms = [tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(powers)] + others
+    ring = Ring(0, tuple("x%d" % i for i in range(n)))
+    sb = StandardBasis(tuple(ring.monomial(m) for m in lms), tuple(lms))
+    box = sum(1 for e in product(*(range(b) for b in powers))
+              if not any(all(a <= b for a, b in zip(m, e)) for m in lms))
+    assert vdim(sb) == box
 
 
 class TestMilnorTjurina:
@@ -337,6 +362,32 @@ def test_vdim_agrees_with_bruteforce(char, terms, a, b):
         assert value == oracle
     elif oracle != INFINITY:
         assert value == oracle
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["right", "contact"]),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 6)),
+             max_size=3),
+    st.data(),
+)
+def test_vdim_agrees_with_bruteforce_in_three_variables(char, mode, terms, data):
+    """Jacobian and Tjurina colengths of convenient germs in x, y, z against
+    the truncated linear-algebra oracle, which reports INFINITY past its cap.
+    The pure powers are prime to the characteristic, so their partials
+    survive."""
+    power = st.integers(2, 5).filter(lambda e: not char or e % char)
+    powers = data.draw(st.tuples(power, power, power))
+    ring = Ring(char, ("x", "y", "z"))
+    f = ring.poly([(tuple(e if j == i else 0 for j in range(3)), 1)
+                   for i, e in enumerate(powers)])
+    f = f + ring.poly([(m, c) for m, c in terms if sum(m) >= 2])
+    gens = mode_ideal_gens(f, mode)
+    assume(gens)
+    value = vdim(std_basis(gens))
+    cap = 30
+    assert bruteforce_vdim(gens, cap) == (value if value <= cap else INFINITY)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,10 @@ from possing.poly import (
     PolyParseError,
     Ring,
     RingError,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
     poly_from_string,
     poly_to_string,
     substitute,
@@ -66,6 +70,18 @@ def test_filter_terms_keeps_self_when_nothing_drops():
     low = f.filter_terms(lambda m: sum(m) <= 2)
     assert low is not f and low == P(R2, "x*y+y^2")
     assert f.filter_terms(lambda m: False) == R2.zero()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(0, 9)] * n)] * 2)))
+def test_monomial_helpers_match_generator_definitions(pair):
+    a, b = pair
+    for u, v in ((a, b), (b, a), (a, tuple(max(x, y) for x, y in zip(a, b)))):
+        assert mono_mul(u, v) == tuple(x + y for x, y in zip(u, v))
+        assert mono_div(u, v) == tuple(x - y for x, y in zip(u, v))
+        assert mono_divides(u, v) is all(x <= y for x, y in zip(u, v))
+        assert mono_lcm(u, v) == tuple(max(x, y) for x, y in zip(u, v))
 
 
 def test_order_examples():
