@@ -90,10 +90,10 @@ class TestVdim:
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.lists(st.integers(1, 4), min_size=n, max_size=n),
     st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=4))))
-def test_vdim_slice_count_matches_box_count(lms):
+def test_vdim_slice_count_matches_box_count(drawn):
     """vdim against a count over the box of the given pure powers, which
     holds every standard monomial."""
-    powers, others = lms
+    powers, others = drawn
     n = len(powers)
     lms = [tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(powers)] + others
     ring = Ring(0, tuple("x%d" % i for i in range(n)))
