@@ -61,10 +61,6 @@ class GradedPieceReport:
     columns: tuple = field(repr=False)  # pivot-preference order
     echelon: object = field(repr=False)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.quotient_basis)
-
 
 class GradedAlgebra:
     """Piece cache plus cone-propagation kill cache for one (P, f, mode)."""

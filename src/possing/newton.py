@@ -555,21 +555,33 @@ def _lattice_sweep(P: CPolytope, lo: int, hi: int, shifts: Optional[Sequence] = 
 
     Shifts default to zero.  The weight entries are strictly positive, so
     the shifted minimum grows monotonically in every coordinate and the
-    recursion prunes as soon as it overshoots hi.  Points come in
-    lexicographic order of the exponents.
+    recursion over the first n - 1 coordinates prunes as soon as it
+    overshoots hi.  The last coordinate e is solved, not stepped: with
+    partial_j = W_j . (beta_1..beta_(n-1)) - shifts[j] and every W_j[n] > 0,
+    each partial_j + e W_j[n], and so their minimum, rises strictly with e.
+    The minimum is >= lo iff every term is, i.e. e >= ceil((lo - partial_j)
+    / W_j[n]) for all j, and it is <= hi iff some term is, i.e. e <=
+    floor((hi - partial_j) / W_j[n]) for some j.  So the admissible e form
+    the range [e_lo, e_hi] with e_lo = max(0, max_j ceil(..)) and e_hi =
+    max_j floor(..), which for lo == hi holds at most one e.  Points come
+    in lexicographic order of the exponents.
     """
     weights = P.weights
-    n = P.nvars
+    last = P.nvars - 1
+    columns = [[w[i] for w in weights] for i in range(last + 1)]
+    tail = columns[last]
     out = []
     current: list = []
 
     def rec(i, partial):
         # partial[j] = W_j . current - shifts[j], and min(partial) <= hi
-        if i == n:
-            if min(partial) >= lo:
-                out.append(tuple(current))
+        if i == last:
+            e_lo = max(0, max(-((p - lo) // c) for p, c in zip(partial, tail)))
+            e_hi = max((hi - p) // c for p, c in zip(partial, tail))
+            prefix = tuple(current)
+            out.extend(prefix + (e,) for e in range(e_lo, e_hi + 1))
             return
-        column = [w[i] for w in weights]
+        column = columns[i]
         current.append(0)
         while min(partial) <= hi:
             rec(i + 1, partial)

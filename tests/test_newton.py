@@ -428,21 +428,60 @@ def box_filter(Pw, shifts, lo, hi):
     ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(weightvecs, weightvecs3), st.integers(0, 12), st.data())
+weightvecs1 = st.lists(st.tuples(st.integers(1, 4)), min_size=1, max_size=3)
+weightvecs4 = st.lists(st.tuples(*[st.integers(1, 4)] * 4), min_size=1, max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(weightvecs1, weightvecs, weightvecs3, weightvecs4), st.integers(0, 12), st.data())
 def test_monomials_of_valuation_complete(ws, d, data):
-    """Level and sublevel sets of the shifted valuation, against a box filter."""
+    """Level and sublevel sets of the shifted valuation, against a box filter.
+
+    Four-variable draws stop at d = 6, where the box already holds 11^4
+    points.  The lower end lo may pass d, an empty range.
+    """
     Pw = cpolytope_from_weights(ws)
+    if Pw.nvars == 4:
+        d = min(d, 6)
     k = len(Pw.weights)
     zero = [0] * k
     shifts = data.draw(st.lists(st.integers(-3, 4), min_size=k, max_size=k))
-    lo = data.draw(st.integers(-4, d))
+    lo = data.draw(st.integers(-4, d + 2))
     assert monomials_of_valuation(Pw, d) == sorted(box_filter(Pw, zero, d, d), key=degrevlex_key)
     assert lattice_points_shifted(Pw, shifts, d) == sorted(
         box_filter(Pw, shifts, d, d), key=degrevlex_key
     )
     assert _lattice_sweep(Pw, 0, d) == box_filter(Pw, zero, 0, d)
     assert _lattice_sweep(Pw, lo, d, shifts) == box_filter(Pw, shifts, lo, d)
+
+
+@pytest.mark.parametrize("ws", [[(2,)], [(2, 3)], [(1, 2, 3), (3, 2, 1)], [(1, 2, 3, 4), (4, 3, 2, 1)]])
+def test_lattice_sweep_empty_ranges(ws):
+    """lo > hi, or shifts that start the minimum above hi, give no points."""
+    Pw = cpolytope_from_weights(ws)
+    k = len(Pw.weights)
+    assert _lattice_sweep(Pw, 5, 4) == box_filter(Pw, [0] * k, 5, 4) == []
+    assert _lattice_sweep(Pw, 3, 3, [-4] * k) == []
+    assert _lattice_sweep(Pw, 0, 3, [-4] * k) == []
+    assert _lattice_sweep(Pw, -8, 3, [-7, -4, -5][:k]) == []
+    assert lattice_points_shifted(Pw, [-5] * k, 4) == []
+
+
+def test_lattice_sweep_high_level_wave():
+    """Level sets at d >= 100 on the criterion-8 wave polytope, against a box filter."""
+    Pw = cpolytope_from_poly(P(RQ, "x^7+x^3*y^2+y^4"))
+    assert Pw.weights == ((12, 24), (14, 21))
+    zero = [0, 0]
+    for d in (100, 168, 205):
+        assert monomials_of_valuation(Pw, d) == sorted(box_filter(Pw, zero, d, d), key=degrevlex_key)
+        for axis in (0, 1):
+            shifts = [w[axis] for w in Pw.weights]
+            assert derivation_monomials(Pw, axis, d) == sorted(
+                box_filter(Pw, shifts, d, d), key=degrevlex_key
+            )
+    assert monomials_of_valuation(Pw, 168) != []
+    assert _lattice_sweep(Pw, 150, 205) == box_filter(Pw, zero, 150, 205)
+    assert _lattice_sweep(Pw, 0, 205, [30, -20]) == box_filter(Pw, [30, -20], 0, 205)
 
 
 def oracle_faces(Pw) -> dict:
