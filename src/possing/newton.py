@@ -563,8 +563,11 @@ def _lattice_sweep(P: CPolytope, lo: int, hi: int, shifts: Optional[Sequence] = 
     / W_j[n]) for all j, and it is <= hi iff some term is, i.e. e <=
     floor((hi - partial_j) / W_j[n]) for some j.  So the admissible e form
     the range [e_lo, e_hi] with e_lo = max(0, max_j ceil(..)) and e_hi =
-    max_j floor(..), which for lo == hi holds at most one e.  Points come
-    in lexicographic order of the exponents.
+    max_j floor(..), which for lo == hi holds at most one e.  One plain
+    loop over the weights keeps both running maxima, e_lo seeded at 0 (the
+    max with 0) and e_hi at -1 (any e_hi < 0 is an empty range anyway); an
+    empty range returns before the prefix tuple is built.  Points come in
+    lexicographic order of the exponents.
     """
     weights = P.weights
     last = P.nvars - 1
@@ -576,8 +579,16 @@ def _lattice_sweep(P: CPolytope, lo: int, hi: int, shifts: Optional[Sequence] = 
     def rec(i, partial):
         # partial[j] = W_j . current - shifts[j], and min(partial) <= hi
         if i == last:
-            e_lo = max(0, max(-((p - lo) // c) for p, c in zip(partial, tail)))
-            e_hi = max((hi - p) // c for p, c in zip(partial, tail))
+            e_lo, e_hi = 0, -1
+            for p, c in zip(partial, tail):
+                e = -((p - lo) // c)
+                if e > e_lo:
+                    e_lo = e
+                e = (hi - p) // c
+                if e > e_hi:
+                    e_hi = e
+            if e_lo > e_hi:
+                return
             prefix = tuple(current)
             out.extend(prefix + (e,) for e in range(e_lo, e_hi + 1))
             return
