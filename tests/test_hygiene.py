@@ -7,7 +7,6 @@ the benchmark's tracer wraps exists."""
 
 import ast
 import functools
-import importlib
 import importlib.util
 from pathlib import Path
 
