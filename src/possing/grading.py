@@ -13,11 +13,13 @@ is why this is done by plain column reduction and not by standard bases.
 The plain (non-expected) graded algebras of the quotients by the Jacobian
 and Tjurina ideals are computed by a single echelon over all monomials of
 bounded valuation, `newton._filtered_dims`: with columns sorted by
-valuation, the pivots at level d count the image inside that level.  The
-echelons come from `newton`: every one, expected or plain, is a sparse
-`newton._Echelon`.  The expected pieces are built by `newton._row_echelon`
-from (label, product) rows and a column list; `_filtered_dims` builds its
-unlabelled rows straight into column indices.
+valuation, the pivots at level d count the image inside that level.  Every
+echelon, expected or plain, is a sparse `newton._Echelon` filled by the one
+row builder `newton._row_echelon`, from a column list and (label, g, gamma)
+rows that each stand for the shifted generator x^gamma * g; no product is
+materialised.  The expected pieces pass labelled rows from
+`GradedAlgebra.generators`; `_filtered_dims` passes unlabelled rows for its
+(g, k) generator pairs, g times every monomial of valuation >= k.
 
 Pivots always target the leading monomial in the local order, so surviving
 quotient monomials match the standard-monomial conventions of the rest of
@@ -82,21 +84,22 @@ class GradedAlgebra:
     # -- pieces ------------------------------------------------------------
 
     def generators(self, t: int) -> list:
-        """(label, product) for the image generators of valuation t.
+        """(label, g, shift) for the image generators x^shift * g of valuation t.
 
         ("mult", gamma) labels f*x^gamma (contact mode only) and
-        ("deriv", axis, beta) labels x^beta * d f / d x_axis.
+        ("deriv", axis, beta) labels x^beta * d f / d x_axis; the shift is
+        gamma or beta, and `newton._row_echelon` applies it.
         """
         P = self.P
         gens = []
         if self.mode == "contact" and t >= 0:
             for gamma in monomials_of_valuation(P, t):
-                gens.append((("mult", gamma), self.f.term_mul(gamma, 1)))
+                gens.append((("mult", gamma), self.f, gamma))
         for axis, partial in enumerate(self.partials):
             if partial.is_zero():
                 continue
             for beta in derivation_monomials(P, axis, t):
-                gens.append((("deriv", axis, beta), partial.term_mul(beta, 1)))
+                gens.append((("deriv", axis, beta), partial, beta))
         return gens
 
     def piece(self, d: int) -> GradedPieceReport:
@@ -173,7 +176,7 @@ class GradedAlgebra:
 def plain_graded_dims(P: CPolytope, f: Poly, mode: str, dmax: int) -> list:
     """Piece dimensions of the plain graded algebra of the quotient by the
     Jacobian ('right') or Tjurina ('contact') ideal, for degrees 0..dmax."""
-    return _filtered_dims(P, f.ring, mode_ideal_gens(f, mode), dmax)
+    return _filtered_dims(P, f.ring, [(g, 0) for g in mode_ideal_gens(f, mode)], dmax)
 
 
 @dataclass(frozen=True)

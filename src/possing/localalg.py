@@ -420,25 +420,27 @@ def _simplex(nvars: int):
 
 
 def _degree_dims(gens: list, dmax: int) -> list:
-    """Level dimensions 0..dmax of K[[x]]/I under the degree filtration."""
-    ring = gens[0].ring
+    """Level dimensions 0..dmax of K[[x]]/I under the degree filtration,
+    for I generated by the (g, k) pairs of gens, each standing for m^k * g."""
+    ring = gens[0][0].ring
     return _filtered_dims(_simplex(ring.nvars), ring, gens, dmax)
 
 
 def bruteforce_local_dim(gens: list, cutoff: int) -> int:
     """dim_K K[[x]]/(I + m^cutoff), summed over the degree levels below cutoff
     of one truncated echelon: plain linear algebra, no standard bases."""
-    return sum(_degree_dims(gens, cutoff - 1))
+    return sum(_degree_dims([(g, 0) for g in gens], cutoff - 1))
 
 
 def _first_zero_level(gens: list, start: int, cap: int):
     """(d, count): the first degree d with dims[d] == 0, and the count below it.
 
-    An echelon truncated below degree D gives dims[d] = dim (I + m^d)/(I +
-    m^(d+1)) for every d < D, and the count dims[0] + ... + dims[d-1] is
-    dim K[[x]]/(I + m^d), a lower bound for dim K[[x]]/I.  At the first d
-    with dims[d] == 0, m^d lies in I + m^(d+1) = I + m * m^d, so m^d lies in
-    I by Nakayama and the count below d is exact.  Until then each degree
+    An echelon of the (g, k) pairs of `_degree_dims` truncated below degree
+    D gives dims[d] = dim (I + m^d)/(I + m^(d+1)) for every d < D, and the
+    count dims[0] + ... + dims[d-1] is dim K[[x]]/(I + m^d), a lower bound
+    for dim K[[x]]/I.  At the first d with dims[d] == 0, m^d lies in I +
+    m^(d+1) = I + m * m^d, so m^d lies in I by Nakayama and the count below
+    d is exact.  Until then each degree
     adds at least 1, so when all of dims[0..D-1] are nonzero and the count
     is still at most cap, the truncation min(2D, D + cap + 1 - count)
     reaches a decision or grows again.  The first truncation is start; None
@@ -466,5 +468,5 @@ def bruteforce_vdim(gens: list, cap: int):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return INFINITY
-    stop = _first_zero_level(gens, 2, cap)
+    stop = _first_zero_level([(g, 0) for g in gens], 2, cap)
     return INFINITY if stop is None else stop[1]

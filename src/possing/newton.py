@@ -156,17 +156,23 @@ class _Echelon:
 
 
 def _row_echelon(ring, cols: list, rows, track: bool):
-    """Echelon of (label, product) rows restricted to the monomials in cols.
+    """Echelon of (label, g, gamma) rows x^gamma * g restricted to cols.
 
-    Column i is cols[i]; terms outside cols are dropped.  Returns the
-    echelon and the labels of the rows with a nonzero restriction
-    (dependent rows included: they still span the image).
+    The package's one row builder: column i is cols[i], and each row goes
+    straight into a {column index: coefficient} dict from g's terms shifted
+    by gamma, dropping those outside cols; no product is materialised.
+    Returns the echelon and the labels of the rows with a nonzero
+    restriction (dependent rows included: they still span the image).
     """
     index = {m: i for i, m in enumerate(cols)}
     ech = _Echelon(ring, track)
     labels = []
-    for label, product in rows:
-        vec = {index[m]: c for m, c in product.terms.items() if m in index}
+    for label, g, gamma in rows:
+        vec = {}
+        for m, c in g.terms.items():
+            pos = index.get(tuple(map(add, m, gamma)))
+            if pos is not None:
+                vec[pos] = c
         if vec:
             ech.add_row(vec, label=label)
             labels.append(label)
@@ -629,19 +635,18 @@ def derivation_monomials(P: CPolytope, axis: int, t: int) -> list:
 def _filtered_dims(P: CPolytope, ring, gens: list, dmax: int) -> list:
     """dims[d] = dim (I + F_d)/(I + F_(d+1)) for d = 0..dmax, one elimination.
 
+    Each pair (g, k) of gens stands for g times every monomial of
+    valuation >= k, so (g, 0) is g and, for the degree, (g, 2) is m^2 * g.
     Columns are the monomials of valuation <= dmax by level, local-leading
-    first within a level; rows are x^gamma times each generator (none for
-    a zero one, of valuation INFINITY).  Pivots sit at a row's lowest
-    column, so the pivots below level c count the rows' image modulo F_c,
-    the span of the monomials of valuation >= c; for c <= dmax + 1 that
-    image is (I + F_c)/F_c, as v(x^gamma g) >= v(x^gamma) + v(g).  So the
-    dims below level c sum to dim K[[x]]/(I + F_c) for every c <= dmax + 1.
-
-    Each row is built straight into a {column index: coefficient} dict
-    from the generator's terms shifted by gamma; a shifted term of
-    valuation past dmax has no column and is dropped.  The gammas of a row
-    are read off the column monomials, once per valuation bound.  Rows
-    carry no label, since only the pivot positions are read.
+    first within a level.  `_row_echelon` gets an unlabelled row x^gamma * g
+    for each column monomial gamma with k <= v(gamma) <= dmax - v(g) (none
+    for a zero g, of valuation INFINITY), since only the pivot positions
+    are read; past that bound, v(x^gamma g) >= v(gamma) + v(g) leaves no
+    term of the row in a column.  Pivots sit at a row's lowest column, so
+    the pivots below level c count the rows' image modulo F_c, the span of
+    the monomials of valuation >= c; for c <= dmax + 1 that image is (I +
+    F_c)/F_c.  So the dims below level c sum to dim K[[x]]/(I + F_c) for
+    every c <= dmax + 1.
     """
     points = [(m, P.value(m)) for m in _lattice_sweep(P, 0, dmax)]
     by_level = {}
@@ -652,22 +657,10 @@ def _filtered_dims(P: CPolytope, ring, gens: list, dmax: int) -> list:
         for lvl in sorted(by_level)
         for m in sorted(by_level[lvl], key=local_key, reverse=True)
     ]
-    index = {m: i for i, m in enumerate(cols)}
-    shifts = {}  # bound b -> the gammas of valuation <= b, in sweep order
-    ech = _Echelon(ring, track=False)
-    for g in gens:
-        terms = list(g.terms.items())
-        bound = dmax - valuation_poly(P, g)
-        if bound not in shifts:
-            shifts[bound] = [m for m, lvl in points if lvl <= bound]
-        for gamma in shifts[bound]:
-            vec = {}
-            for m, c in terms:
-                pos = index.get(tuple(map(add, m, gamma)))
-                if pos is not None:
-                    vec[pos] = c
-            if vec:
-                ech.add_row(vec)
+    bounds = [(g, k, dmax - valuation_poly(P, g)) for g, k in gens]
+    rows = ((None, g, gamma) for g, k, bound in bounds
+            for gamma, lvl in points if k <= lvl <= bound)
+    ech, _ = _row_echelon(ring, cols, rows, track=False)
     dims = [0] * (dmax + 1)
     for pos, m in enumerate(cols):
         if pos not in ech.pivots:

@@ -57,6 +57,7 @@ from possing.poly import (
     Poly,
     apply_transformation,
     degrevlex_key,
+    mono_mul,
     unit_inverse,
 )
 
@@ -81,18 +82,13 @@ def determinacy_generic(f: Poly, mode: str) -> int:
 
 
 def _tangent_ideal_gens(f: Poly, mode: str) -> list:
-    """Generators of m^2 . jacobian(f), plus m . <f> in contact mode."""
-    n = f.ring.nvars
-    partials = jacobian_ideal_gens(f)
-    gens = []
-    for i in range(n):
-        for j in range(i, n):
-            expo = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(n))
-            for p in partials:
-                gens.append(p.term_mul(expo, 1))
+    """m^2 . jacobian(f), plus m . <f> in contact mode, as the (g, k) pairs
+    of `localalg._degree_dims`: (p, 2) for each nonzero partial p, and
+    (f, 1) in contact mode.  No product is built; the echelon adds each
+    row x^delta * g once."""
+    gens = [(p, 2) for p in jacobian_ideal_gens(f)]
     if mode == "contact":
-        for i in range(n):
-            gens.append(f.term_mul(tuple(1 if k == i else 0 for k in range(n)), 1))
+        gens.append((f, 1))
     return gens
 
 
@@ -104,8 +100,9 @@ def precondition_constant(f: Poly, mode: str):
     colength (the Milnor or Tjurina number) and g its number of nonzero
     generators.  c is the first level d where the degree echelon of T's
     generators has dims[d] == 0 (`localalg._first_zero_level`).  The first
-    truncation is the generators' top degree + 2, so the first echelon holds
-    levels 0..top + 1.  Starting one level lower left c = top + 1 undecided
+    truncation is top + 2, where top is the largest deg p + k over the pairs
+    (p, k) of `_tangent_ideal_gens`, so the first echelon holds levels
+    0..top + 1.  Starting one level lower left c = top + 1 undecided
     in 45 of the 300 calls of the first 300 seed-1 `normalform` benchmark
     queries, each then eliminated again at twice the levels; from top + 2
     all 300 decide in one elimination.  The answer does not depend on the
@@ -128,7 +125,7 @@ def precondition_constant(f: Poly, mode: str):
     g = len(mode_ideal_gens(f, mode))
     gens = _tangent_ideal_gens(f, mode)
     cap = int(inv) + g * (f.ring.nvars + 1)
-    stop = _first_zero_level(gens, max(p.degree() for p in gens) + 2, cap)
+    stop = _first_zero_level(gens, max(p.degree() + k for p, k in gens) + 2, cap)
     if stop is None:
         raise AssertionError("tangent ideal colength past inv + g(n+1)")
     return stop[0] - 2
@@ -195,10 +192,9 @@ def _wide_image(alg: GradedAlgebra, d: int, t_min: int):
     """
     P = alg.P
     gens = [g for t in range(t_min, d - alg.value_f + 1) for g in alg.generators(t)]
-    lower = sorted(
-        {m for _, g in gens for m in g.terms if P.value(m) < d},
-        key=lambda m: (P.value(m), degrevlex_key(m)),
-    )
+    shifted = {mono_mul(m, gamma) for _, g, gamma in gens for m in g.terms}
+    lower = sorted((m for m in shifted if P.value(m) < d),
+                   key=lambda m: (P.value(m), degrevlex_key(m)))
     cols = lower + list(alg.piece(d).columns)
     ech, _ = _row_echelon(alg.ring, cols, gens, track=True)
     return ech, cols

@@ -270,14 +270,6 @@ class Poly:
             return ring.zero()
         return Poly(ring, {m: ring.cmul(cc, c) for m, cc in self.terms.items()})
 
-    def term_mul(self, expo: Mono, c) -> "Poly":
-        """Multiply by the single term c * x^expo."""
-        ring = self.ring
-        c = ring.coeff(c)
-        if not c:
-            return ring.zero()
-        return Poly(ring, {mono_mul(m, expo): ring.cmul(cc, c) for m, cc in self.terms.items()})
-
     def truncate(self, cutoff: int) -> "Poly":
         """Drop all terms of total degree above the cutoff."""
         return Poly(self.ring, {m: c for m, c in self.terms.items() if sum(m) <= cutoff})

@@ -2,7 +2,8 @@
 no module-level function or class of the package goes unused, no public
 entry point is reached by tests alone, no public entry point takes a mode
 beside an object that carries one, no code but `local_dimension` runs a
-local standard basis, no handler catches every exception, and every name
+local standard basis, no code but `newton._row_echelon` and the rational
+systems adds echelon rows, no handler catches every exception, and every name
 the benchmark's tracer wraps exists."""
 
 import ast
@@ -201,15 +202,15 @@ def test_mode_carrier_detector():
     assert mode_beside_carrier(source) == [(1, "f"), (5, "m")]
 
 
-def std_basis_uses(source: str) -> list:
-    """(line, module-level definition or None) of each load of `std_basis`,
-    as a name or an attribute: a call, or a reference that could be called."""
+def scoped_loads(source: str, target: str) -> list:
+    """(line, module-level definition or None) of each load of target, as a
+    name or an attribute: a call, or a reference that could be called."""
     found = []
     for top in ast.parse(source).body:
         scope = getattr(top, "name", None)
         for node in ast.walk(top):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name == "std_basis" and isinstance(getattr(node, "ctx", None), ast.Load):
+            if name == target and isinstance(getattr(node, "ctx", None), ast.Load):
                 found.append((node.lineno, scope))
     return sorted(found)
 
@@ -219,7 +220,8 @@ def test_only_local_dimension_runs_std_basis(path):
     """Milnor and Tjurina numbers are remembered on the Poly by
     `localalg.local_dimension`; any other caller of `std_basis` would bypass it."""
     allowed = {"local_dimension"} if path.name == "localalg.py" else set()
-    assert [use for use in std_basis_uses(path.read_text()) if use[1] not in allowed] == []
+    assert [use for use in scoped_loads(path.read_text(), "std_basis")
+            if use[1] not in allowed] == []
 
 
 def test_std_basis_detector():
@@ -231,7 +233,33 @@ def test_std_basis_detector():
         "class C:\n    def m(self):\n        return [std_basis]\n"
         "def std_basis(gens):\n    std_basis = None\n"
     )
-    assert std_basis_uses(source) == [(3, "local_dimension"), (5, "g"), (6, None), (9, "C")]
+    assert scoped_loads(source, "std_basis") == [
+        (3, "local_dimension"), (5, "g"), (6, None), (9, "C")]
+
+
+# the one row builder, and the rational systems of the polytope code
+ADD_ROW_CALLERS = {"_row_echelon", "_solve_unique", "_independent"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_row_builder_adds_rows(path):
+    """Every echelon row is a shifted generator x^gamma * g that
+    `newton._row_echelon` builds; any other caller of `add_row` outside the
+    rational systems would be a second row builder."""
+    allowed = ADD_ROW_CALLERS if path.name == "newton.py" else set()
+    assert [use for use in scoped_loads(path.read_text(), "add_row")
+            if use[1] not in allowed] == []
+
+
+def test_add_row_detector():
+    source = (
+        "def _row_echelon(ech, rows):\n    for r in rows:\n        ech.add_row(r)\n"
+        "def _filtered_dims(ech, vec):\n    ech.add_row(vec)\n"
+        "class _Echelon:\n    def add_row(self, vec):\n        return self.add_row\n"
+        "add = _Echelon().add_row\n"
+    )
+    assert scoped_loads(source, "add_row") == [
+        (3, "_row_echelon"), (5, "_filtered_dims"), (8, "_Echelon"), (9, None)]
 
 
 BROAD = {"Exception", "BaseException"}

@@ -703,7 +703,7 @@ def test_derivation_subadditive(ws, beta, axis, fterms):
     level = derivation_monomials(Pw, axis, t)
     assert tuple(beta) in level
     for b in level:
-        applied = partial.term_mul(b, 1)
+        applied = partial * ring.monomial(b)
         if not applied.is_zero():
             assert valuation_poly(Pw, applied) >= t + valuation_poly(Pw, f)
 

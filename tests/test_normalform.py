@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,7 +226,7 @@ def test_precondition_elimination_count(monkeypatch, char, names, text, passes):
     import possing.localalg as localalg
 
     f, gens, _ = _contact_tangent(char, names, text)
-    top = max(g.degree() for g in gens)
+    top = max(g.degree() + k for g, k in gens)
     calls = []
     degree_dims = localalg._degree_dims
     monkeypatch.setattr(localalg, "_degree_dims",
@@ -233,6 +234,35 @@ def test_precondition_elimination_count(monkeypatch, char, names, text, passes):
     k = precondition_constant(f, "contact")
     assert len(calls) == passes and calls[0] == top + 1
     assert (k + 2 <= top + 1) == (passes == 1)
+
+
+@pytest.mark.parametrize("char,names,text,passes", PRECONDITION_GERMS[:2])
+def test_precondition_adds_each_tangent_row_once(monkeypatch, char, names, text, passes):
+    """Each echelon of precondition_constant adds every row of the contact
+    tangent ideal once: x^delta * f with |delta| >= 1 and x^delta * d_i f
+    with |delta| >= 2, one add_row call per (g, delta) with |delta| <=
+    dmax - ord(g), the rows inside the truncation dmax."""
+    import possing.localalg as localalg
+    from possing.newton import _Echelon
+
+    f, _, _ = _contact_tangent(char, names, text)
+    n = f.ring.nvars
+    rows = [(f, 1)] + [(f.partial(i), 2) for i in range(n) if not f.partial(i).is_zero()]
+    levels, added = [], []
+    degree_dims = localalg._degree_dims
+    monkeypatch.setattr(localalg, "_degree_dims",
+                        lambda gens, dmax: levels.append(dmax) or degree_dims(gens, dmax))
+    add_row = _Echelon.add_row
+    monkeypatch.setattr(_Echelon, "add_row",
+                        lambda self, vec, label=None: added.append(vec) or add_row(self, vec, label))
+    precondition_constant(f, "contact")
+    assert len(levels) == passes
+    assert len(added) == sum(
+        comb(d + n - 1, n - 1)
+        for dmax in levels
+        for g, k in rows
+        for d in range(k, dmax - int(g.order()) + 1)
+    )
 
 
 @st.composite
@@ -282,10 +312,23 @@ def lazard_least_power(gens):
     )
 
 
+def tangent_products(pairs):
+    """The explicit products x^delta * g, |delta| = k, of (g, k) pairs, built
+    here by plain multiplication and not by the echelon's row builder."""
+    out = []
+    for g, k in pairs:
+        ring = g.ring
+        for delta in product(range(k + 1), repeat=ring.nvars):
+            if sum(delta) == k:
+                out.append(g * ring.monomial(delta))
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_germs(), st.sampled_from(["right", "contact"]))
 def test_precondition_constant_agrees_with_lazard(f, mode):
     """The echelon route against the least power read off a local standard
-    basis of the tangent generators."""
-    c = lazard_least_power([g for g in _tangent_ideal_gens(f, mode) if not g.is_zero()])
+    basis of the tangent generators, multiplied out independently."""
+    products = tangent_products(_tangent_ideal_gens(f, mode))
+    c = lazard_least_power([g for g in products if not g.is_zero()])
     assert precondition_constant(f, mode) == (INFINITY if c == INFINITY else max(c - 2, 0))

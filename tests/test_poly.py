@@ -180,7 +180,7 @@ def test_substitution_inverts(f):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 4))
 def test_unit_inverse_no_low_terms(c, k):
-    u = RQ.const(c) + poly_from_string(RQ, "x").term_mul((k, 0), 1)
+    u = RQ.const(c) + poly_from_string(RQ, "x") * RQ.monomial((k, 0))
     prod = u * unit_inverse(u, 8)
     diff = prod - RQ.one()
     assert all(sum(m) > 8 for m in diff.terms)
