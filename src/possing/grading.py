@@ -192,6 +192,8 @@ class RayReport:
 
 @dataclass(frozen=True)
 class RayCriterionReport:
+    # vertex rays in face order, up to and including the first one with no
+    # vanishing multiple; the rays after it are not scanned
     rays: tuple
     all_vanish: bool
     scan_bound: int  # the bound every ray was scanned to
@@ -203,14 +205,52 @@ class RayCriterionReport:
         return None
 
 
-def ray_criterion(alg: GradedAlgebra, scan_bound: Optional[int] = None) -> RayCriterionReport:
-    """Scan each vertex ray of alg's polytope for a vanishing lattice monomial.
+def _least_vanishing_multiple(alg: GradedAlgebra, u: Mono, bound: int) -> Optional[int]:
+    """Least k <= bound with x^(k u) zero in alg, or None: probes k = 1, 2,
+    4, ... capped at bound, then bisects (see `ray_criterion`)."""
 
-    Finiteness of the graded algebra is equivalent to every such ray
-    carrying a vanishing monomial; a scan that finds none up to the bound
-    reports the ray as a witness.  The default bound comes from the local
-    invariant of alg's mode.  A scan bound below 1 checks no multiple and
-    is refused with ValueError.
+    def vanishes(k: int) -> bool:
+        return alg.vanishes(tuple(k * c for c in u))
+
+    survived, k = 0, 1  # x^(survived u) is not zero, or survived == 0
+    while not vanishes(k):
+        if k == bound:
+            return None
+        survived, k = k, min(2 * k, bound)
+    while k - survived > 1:
+        mid = (survived + k) // 2
+        if vanishes(mid):
+            k = mid
+        else:
+            survived = mid
+    return k
+
+
+def ray_criterion(alg: GradedAlgebra, scan_bound: Optional[int] = None) -> RayCriterionReport:
+    """Find each vertex ray's first vanishing lattice multiple, in face order.
+
+    Finiteness of the graded algebra is equivalent to every vertex ray of
+    alg's polytope carrying a vanishing monomial; the first ray with none
+    up to the bound is reported as the witness, and the rays after it are
+    not scanned.  The default bound comes from the local invariant of alg's
+    mode.  A scan bound below 1 checks no multiple and is refused with
+    ValueError.
+
+    Vanishing along a vertex ray u is upward-closed: every multiple k u
+    attains the same facets, so for k' > k the product x^(k'u) =
+    x^((k'-k)u) * x^(k u) has valuation v(x^((k'-k)u)) + v(x^(k u)), and it
+    is zero once x^(k u) is (cone propagation, as in
+    `GradedAlgebra.cone_killed`).  So the multiples 1..bound survive up to
+    some k* and vanish from it on, and a search finds k* from fewer pieces
+    than a scan of k = 1, 2, ...: probe k = 1, 2, 4, ..., each capped at
+    the bound, until one vanishes, then bisect between the last multiple
+    that survived and the first that vanished.  A probe at the bound that
+    survives shows that no multiple vanishes.  The least k, the witness
+    and the bound are those of the linear scan.
+
+    The probes above k* record kills that x^(k* u) implies; they are
+    dropped, so alg.kills ends with one kill x^(k* u) per finite ray in
+    face order, as the linear scan leaves it.
     """
     if scan_bound is None:
         local_dim = local_dimension(alg.f, alg.mode)
@@ -222,23 +262,22 @@ def ray_criterion(alg: GradedAlgebra, scan_bound: Optional[int] = None) -> RayCr
         if face.dimension != 0:
             continue
         u = _primitive(face.vertices[0])
-        hit = None
-        mult = None
-        for k in range(1, scan_bound + 1):
-            m = tuple(k * c for c in u)
-            if alg.vanishes(m):
-                alg.record_kill(m)
-                hit, mult = m, k
-                break
+        kept = len(alg.kills)
+        k = _least_vanishing_multiple(alg, u, scan_bound)
+        hit = None if k is None else tuple(k * c for c in u)
         rays.append(
             RayReport(
                 direction=u,
                 facets=face.weight_indices,
                 first_vanishing=hit,
-                multiple=mult,
+                multiple=k,
                 scan_bound=scan_bound,
             )
         )
+        if hit is None:
+            break
+        del alg.kills[kept:]  # probes above k* u, implied by it
+        alg.record_kill(hit)
     all_vanish = all(r.first_vanishing for r in rays)
     return RayCriterionReport(rays=tuple(rays), all_vanish=all_vanish, scan_bound=scan_bound)
 
@@ -276,6 +315,8 @@ def regular_basis(
     confines survivors to a bounded region: inside a facet cone, anything
     at or past the sum of the ray kills is a shifted-cone translate of a
     kill.  Pieces are then computed only at degrees of unkilled candidates.
+    The kills are those `ray_criterion` leaves: each ray's first vanishing
+    multiple x^(k* u), in face order, and no kill from a probe above it.
     """
     alg = GradedAlgebra(P, f, mode)
     rc = ray_criterion(alg, scan_bound=scan_bound)

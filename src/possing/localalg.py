@@ -442,9 +442,11 @@ def _first_zero_level(gens: list, start: int, cap: int):
     m^(d+1) = I + m * m^d, so m^d lies in I by Nakayama and the count below
     d is exact.  Until then each degree
     adds at least 1, so when all of dims[0..D-1] are nonzero and the count
-    is still at most cap, the truncation min(2D, D + cap + 1 - count)
-    reaches a decision or grows again.  The first truncation is start; None
-    once the count passes cap.
+    is still at most cap, the truncation min(D + max(1, D // 2), D + cap +
+    1 - count) reaches a decision or grows again.  It grows by half, not
+    twice: an echelon costs far more at twice the levels than the levels
+    it is likely to need.  The first truncation is start; None once the
+    count passes cap.
     """
     top = start
     while True:
@@ -455,7 +457,7 @@ def _first_zero_level(gens: list, start: int, cap: int):
             count += dim
             if count > cap:
                 return None
-        top = min(2 * top, top + cap + 1 - count)
+        top = min(top + max(1, top // 2), top + cap + 1 - count)
 
 
 def bruteforce_vdim(gens: list, cap: int):

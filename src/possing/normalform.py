@@ -104,7 +104,7 @@ def precondition_constant(f: Poly, mode: str):
     (p, k) of `_tangent_ideal_gens`, so the first echelon holds levels
     0..top + 1.  Starting one level lower left c = top + 1 undecided
     in 45 of the 300 calls of the first 300 seed-1 `normalform` benchmark
-    queries, each then eliminated again at twice the levels; from top + 2
+    queries, each then eliminated again at more levels; from top + 2
     all 300 decide in one elimination.  The answer does not depend on the
     start, since the stop below holds at whichever zero level comes first:
     - Nakayama stop: at the first zero level d, m^d lies in T.  Each

@@ -1,3 +1,5 @@
+import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,9 @@ from possing.grading import (
     ray_criterion,
     regular_basis,
 )
+from possing.cli import run
 from possing.localalg import INFINITY, milnor, tjurina
-from possing.newton import cpolytope_from_poly, cpolytope_from_weights
+from possing.newton import _primitive, cpolytope_from_poly, cpolytope_from_weights
 from possing.poly import Ring, poly_from_string
 
 R2 = Ring(2, ("x", "y"))
@@ -263,3 +266,129 @@ def test_graded_dimension_bounds_local_one():
     ring, f, Pw = e33()
     rb = regular_basis(Pw, f, "contact")
     assert tjurina(f) <= rb.dimension
+
+
+# -- the ray search against a linear scan --------------------------------------------
+
+
+def _linear_ray_scan(P, f, mode, bound):
+    """Reference: test x^(k u) for k = 1, 2, ..., bound on each vertex ray u
+    in face order, each against its own piece with no kill cache; returns
+    [(u, least k or None)] up to and including the first ray with none."""
+    alg = GradedAlgebra(P, f, mode)
+    rays = []
+    for face in P.faces:
+        if face.dimension != 0:
+            continue
+        u = _primitive(face.vertices[0])
+        k = next((k for k in range(1, bound + 1)
+                  if alg.vanishes(tuple(k * c for c in u), use_cone=False)), None)
+        rays.append((u, k))
+        if k is None:
+            break
+    return rays
+
+
+def _assert_matches_linear_scan(P, f, mode, bound):
+    alg = GradedAlgebra(P, f, mode)
+    rc = ray_criterion(alg, scan_bound=bound)
+    expected = _linear_ray_scan(P, f, mode, bound)
+    assert [(r.direction, r.multiple) for r in rc.rays] == expected
+    for r in rc.rays:
+        hit = None if r.multiple is None else tuple(r.multiple * c for c in r.direction)
+        assert r.first_vanishing == hit and r.scan_bound == bound
+    assert rc.scan_bound == bound
+    assert rc.all_vanish == (expected[-1][1] is not None)
+    assert rc.witness() == (None if rc.all_vanish else rc.rays[-1])
+    # the kill list the linear scan leaves: one kill x^(k u) per finite ray
+    kills = [tuple(k * c for c in u) for u, k in expected if k is not None]
+    assert alg.kills == [(m, frozenset(P.attaining(m))) for m in kills]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.sampled_from(["right", "contact"]),
+    st.integers(2, 7),
+    st.integers(2, 7),
+    st.lists(
+        st.tuples(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(1, 6)),
+        max_size=3,
+    ),
+    st.integers(1, 24),
+)
+def test_ray_search_matches_linear_scan(char, mode, a, b, extra, bound):
+    """Doubling and bisection find the least vanishing multiple of every ray
+    up to the first infinite one, that ray as the witness, and the kills of
+    the linear scan, on convenient curves x^a + y^b + ... over F_2..F_7."""
+    ring = Ring(char, ("x", "y"))
+    f = ring.monomial((a, 0)) + ring.monomial((0, b)) + ring.poly(
+        [(m, c) for m, c in extra if sum(m) >= 2]
+    )
+    assume(f.terms.get((a, 0)) and f.terms.get((0, b)))
+    _assert_matches_linear_scan(cpolytope_from_poly(f), f, mode, bound)
+
+
+@pytest.mark.parametrize("bound", [1, 3, 7, 13, 24])
+@pytest.mark.parametrize("mode", ["right", "contact"])
+@pytest.mark.parametrize(
+    "char,text",
+    [
+        (3, "x^12+x^3*y^2+y^3"),  # E33
+        (2, "x^7+x^3*y^2+y^4"),  # wave family
+        (3, "x^7+x^3*y^2+y^4"),
+        (5, "x^7+x^3*y^2+y^4"),
+        (7, "x^7+x^3*y^2+y^4"),
+        (2, "x^5+x^2*y^2+y^4"),  # T45
+    ],
+)
+def test_ray_search_matches_linear_scan_on_families(char, text, mode, bound):
+    f = P(Ring(char, ("x", "y")), text)
+    _assert_matches_linear_scan(cpolytope_from_poly(f), f, mode, bound)
+
+
+@pytest.mark.parametrize("bound", [1, 5, 24])
+@pytest.mark.parametrize("mode", ["right", "contact"])
+@pytest.mark.parametrize("char", [2, 3, 5])
+@pytest.mark.parametrize(
+    "text,weights",
+    [("x^2*z+y^3+z^4", (9, 8, 6, 24)), ("x^3+x*y^3+z^2", (6, 4, 9, 18))],
+    ids=["Q10", "E7+z^2"],
+)
+def test_ray_search_matches_linear_scan_on_weighted_families(text, weights, char, mode, bound):
+    f = P(Ring(char, ("x", "y", "z")), text)
+    *w, d = weights
+    Pw = cpolytope_from_weights([tuple(Fraction(c, d) for c in w)])
+    _assert_matches_linear_scan(Pw, f, mode, bound)
+
+
+def test_wave_contact_scan_computes_logarithmically_many_pieces(monkeypatch):
+    """`regbasis --mode contact` on the char-2 wave family scans to 96 and
+    computes at most 2 * ceil(log2 96) + 2 pieces per vertex ray."""
+    import possing.grading as grading
+
+    computed, per_ray, reports = [], [], []
+    compute = grading.GradedAlgebra._compute_piece
+    monkeypatch.setattr(grading.GradedAlgebra, "_compute_piece",
+                        lambda self, d: computed.append(d) or compute(self, d))
+    search = grading._least_vanishing_multiple
+
+    def counted_search(alg, u, bound):
+        before = len(computed)
+        k = search(alg, u, bound)
+        per_ray.append(len(computed) - before)
+        return k
+
+    monkeypatch.setattr(grading, "_least_vanishing_multiple", counted_search)
+    scan = grading.ray_criterion
+    monkeypatch.setattr(grading, "ray_criterion",
+                        lambda alg, scan_bound=None: reports.append(scan(alg, scan_bound))
+                        or reports[-1])
+    out = io.StringIO()
+    argv = ["regbasis", "--char", "2", "--vars", "x,y", "--mode", "contact",
+            "x^7+x^3*y^2+y^4", "--json"]
+    assert run(argv, out=out, err=io.StringIO()) == 0
+    (rc,) = reports
+    assert rc.scan_bound == 96 and rc.witness().direction == (3, 2)
+    assert len(per_ray) == len(rc.rays)
+    assert max(per_ray) <= 2 * math.ceil(math.log2(96)) + 2

@@ -218,6 +218,20 @@ class TestMinPower:
     def test_infinite(self):
         assert _first_zero_level([(P(RQ, "x^4"), 0)], 2, 40) is None
 
+    def test_truncation_grows_by_half(self, monkeypatch):
+        """The Jacobian ideal of x^2*y^2+x^4+2*x^3*y^2+x^4*y+y^7 over Q has
+        zero level 8.  Growing by half, the truncations 2, 3, 4, 6, 9 reach
+        it without going past 12; doubling went on to 16."""
+        import possing.localalg as localalg
+
+        gens = [(g, 0) for g in jacobian_ideal_gens(P(RQ, "x^2*y^2+x^4+2*x^3*y^2+x^4*y+y^7"))]
+        truncations = []
+        degree_dims = localalg._degree_dims
+        monkeypatch.setattr(localalg, "_degree_dims",
+                            lambda gens, dmax: truncations.append(dmax + 1) or degree_dims(gens, dmax))
+        assert _first_zero_level(gens, 2, 40) == (8, 12)
+        assert max(truncations) <= 12
+
 
 @settings(max_examples=60, deadline=None)
 @given(
