@@ -241,10 +241,10 @@ def ray_criterion(alg: GradedAlgebra, scan_bound: Optional[int] = None) -> RayCr
     x^((k'-k)u) * x^(k u) has valuation v(x^((k'-k)u)) + v(x^(k u)), and it
     is zero once x^(k u) is (cone propagation, as in
     `GradedAlgebra.cone_killed`).  So the multiples 1..bound survive up to
-    some k* and vanish from it on, and a search finds k* from fewer pieces
-    than a scan of k = 1, 2, ...: probe k = 1, 2, 4, ..., each capped at
-    the bound, until one vanishes, then bisect between the last multiple
-    that survived and the first that vanished.  A probe at the bound that
+    some k* and vanish from it on, and a search finds k* from about
+    2 log2 k* pieces where a scan of k = 1, 2, ... takes k*: probe k = 1,
+    2, 4, ..., each capped at the bound, until one vanishes, then bisect
+    between the last multiple that survived and the first that vanished.  A probe at the bound that
     survives shows that no multiple vanishes.  The least k, the witness
     and the bound are those of the linear scan.
 

@@ -443,10 +443,10 @@ def _first_zero_level(gens: list, start: int, cap: int):
     d is exact.  Until then each degree
     adds at least 1, so when all of dims[0..D-1] are nonzero and the count
     is still at most cap, the truncation min(D + max(1, D // 2), D + cap +
-    1 - count) reaches a decision or grows again.  It grows by half, not
-    twice: an echelon costs far more at twice the levels than the levels
-    it is likely to need.  The first truncation is start; None once the
-    count passes cap.
+    1 - count) reaches a decision or grows again.  It grows by half rather
+    than doubling: an echelon's cost rises steeply with its levels, and
+    doubling can pass the zero level by nearly twice.  The first truncation
+    is start; None once the count passes cap.
     """
     top = start
     while True:
