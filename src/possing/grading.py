@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from possing.localalg import local_dimension, mode_ideal_gens
 from possing.newton import (
     CPolytope,
+    _dot,
     _filtered_dims,
     _lattice_sweep,
     _primitive,
@@ -143,11 +144,23 @@ class GradedAlgebra:
     # -- zero tests ----------------------------------------------------------
 
     def cone_killed(self, m: Mono) -> bool:
+        """Whether m = alpha + beta with alpha a recorded kill, beta >= 0,
+        and some facet attaining alpha also attaining beta.
+
+        That facet then gives v(m) = v(alpha) + v(beta), so x^m is x^beta
+        times the vanishing x^alpha in the graded algebra, and vanishes
+        (cone propagation).  The facet dot products of beta are computed
+        once, and only the kill's own facets are compared with their
+        minimum; no set is built.
+        """
+        weights = self.P.weights
         for alpha, facets in self.kills:
-            beta = tuple(x - a for x, a in zip(m, alpha))
+            beta = [x - a for x, a in zip(m, alpha)]
             if any(b < 0 for b in beta):
                 continue
-            if set(self.P.attaining(beta)) & facets:
+            dots = [_dot(w, beta) for w in weights]
+            v = min(dots)
+            if any(dots[j] == v for j in facets):
                 return True
         return False
 

@@ -7,6 +7,15 @@ filters the power series ring.  All arithmetic is exact: forms are kept
 as primitive integer vectors together with the common scale that makes
 the valuation integer-valued on lattice points.
 
+The polytope geometry runs in integers.  The one elimination, `_Echelon`,
+is fraction-free over Q: every pivot row is a primitive integer vector
+with a positive pivot entry, and `reduce` still returns the exact rational
+residual and combination, divided once at the end.  Its solver
+`_solve_unique` returns integer numerators over one positive denominator;
+vertices and forms are split once into an integer vector and a scale, so
+feasibility, tightness and rank tests compare integers, and `Fraction`s
+are built only for the vertices handed out.
+
 Facet attainment ties are always reported as sets and never broken.
 """
 
@@ -44,11 +53,20 @@ class _Echelon:
     the polytope code.
 
     Columns are positions into a fixed monomial list (pivot preference
-    order), and a row is a dict {position: nonzero entry}.  Over F_p the
-    entries are residues in [0, p) and the arithmetic is inline on Python
-    ints with `% p`; over Q they are `Fraction`s (ints are accepted on
-    input) combined with the plain operators.  Pivot rows are monic at
-    their pivot and support only columns at or after it.
+    order), and a row is a dict {position: nonzero entry}.  Pivot rows
+    support only columns at or after their pivot.  `pivots` maps each
+    pivot position to (row, combo, den): combo is None unless the echelon
+    tracks combinations, and otherwise names row / row[pivot] as
+    sum(combo[label] * generator row of label) / den.
+
+    Over F_p the entries are residues in [0, p), the arithmetic is inline
+    on Python ints with `% p`, pivot rows are monic and den is 1.  Over Q
+    the elimination is fraction-free: a pivot row is a primitive integer
+    vector (gcd 1) with a positive pivot entry, and its combo holds
+    integers over one positive integer den.  Input entries may be ints or
+    `Fraction`s; a vector is scaled to integers once on entry, and `reduce`
+    divides once on exit, so its residual and `used` are the exact
+    rationals of the monic elimination.
 
     `reduce` takes the next pivot from a heap of the vector's pivot
     positions.  Eliminating at position q touches only positions at or
@@ -61,13 +79,18 @@ class _Echelon:
     def __init__(self, ring, track: bool):
         self.char = ring.char
         self.track = track
-        self.pivots: dict = {}  # pos -> (row dict, combo dict | None)
+        self.pivots: dict = {}  # pos -> (row dict, combo dict | None, den)
 
     def reduce(self, vec: dict):
         """(residual, used): the residual is vec minus used[label] times the
         generator row of each label, and holds no pivot position.  used is
-        empty unless the echelon tracks combinations."""
+        empty unless the echelon tracks combinations.  Over Q both hold
+        `Fraction`s."""
         p = self.char
+        if not p:
+            red, den, used, uden = self._reduce_rational(vec)
+            return ({pos: Fraction(v, den) for pos, v in red.items()},
+                    {label: Fraction(u, uden) for label, u in used.items()})
         pivots = self.pivots
         track = self.track
         vec = dict(vec)
@@ -79,75 +102,146 @@ class _Echelon:
             c = vec.get(hit)
             if c is None:
                 continue
-            row, rowcombo = pivots[hit]
-            if p:
-                neg = p - c
-                for pos, v in row.items():
-                    old = vec.get(pos)
-                    if old is None:
-                        vec[pos] = neg * v % p
-                        if pos in pivots:
-                            heappush(heap, pos)
+            row, rowcombo, _ = pivots[hit]
+            neg = p - c
+            for pos, v in row.items():
+                old = vec.get(pos)
+                if old is None:
+                    vec[pos] = neg * v % p
+                    if pos in pivots:
+                        heappush(heap, pos)
+                else:
+                    old = (old + neg * v) % p
+                    if old:
+                        vec[pos] = old
                     else:
-                        old = (old + neg * v) % p
-                        if old:
-                            vec[pos] = old
-                        else:
-                            del vec[pos]
-            else:
-                for pos, v in row.items():
-                    old = vec.get(pos)
-                    if old is None:
-                        vec[pos] = -c * v
-                        if pos in pivots:
-                            heappush(heap, pos)
-                    else:
-                        old -= c * v
-                        if old:
-                            vec[pos] = old
-                        else:
-                            del vec[pos]
+                        del vec[pos]
             if track:
                 for label, cc in rowcombo.items():
-                    nv = used.get(label, 0) + c * cc
-                    if p:
-                        nv %= p
+                    nv = (used.get(label, 0) + c * cc) % p
                     if nv:
                         used[label] = nv
                     else:
                         used.pop(label, None)
         return vec, used
 
+    def _reduce_rational(self, vec: dict):
+        """(red, den, used, uden) over Q, all integers: the residual of
+        `reduce` is red / den and its used is used / uden.
+
+        The vector is scaled to integers once, by the least common
+        denominator den of its entries.  At a pivot with row entry a and
+        vector entry c it becomes (a/g) * vec - (c/g) * row, g = gcd(a, c),
+        which clears the position and multiplies den by a/g; before that,
+        the combination gains c / den times the monic row's combination,
+        kept over the least common denominator uden of these multipliers."""
+        pivots = self.pivots
+        track = self.track
+        ints, den = _integral(vec.values())
+        vec = dict(zip(vec, ints))
+        used: dict = {}
+        uden = 1
+        heap = [pos for pos in vec if pos in pivots]
+        heapify(heap)
+        while heap:
+            hit = heappop(heap)
+            c = vec.get(hit)
+            if c is None:
+                continue
+            row, rowcombo, rowden = pivots[hit]
+            if track:
+                tnum, tden = c, den * rowden
+                g = gcd(tnum, tden)
+                tnum //= g
+                tden //= g
+                if uden % tden:
+                    grow = tden // gcd(uden, tden)
+                    used = {label: u * grow for label, u in used.items()}
+                    uden *= grow
+                tnum *= uden // tden
+                for label, cc in rowcombo.items():
+                    nv = used.get(label, 0) + tnum * cc
+                    if nv:
+                        used[label] = nv
+                    else:
+                        used.pop(label, None)
+            a = row[hit]
+            if a != 1:
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                if a != 1:
+                    vec = {pos: a * v for pos, v in vec.items()}
+                    den *= a
+            for pos, v in row.items():
+                old = vec.get(pos)
+                if old is None:
+                    vec[pos] = -c * v
+                    if pos in pivots:
+                        heappush(heap, pos)
+                else:
+                    old -= c * v
+                    if old:
+                        vec[pos] = old
+                    else:
+                        del vec[pos]
+        return vec, den, used, uden
+
     def add_row(self, vec: dict, label=None) -> bool:
         """Insert a generator row; returns True when it increased the rank."""
+        p = self.char
+        if not p:
+            return self._add_rational(vec, label)
         red, used = self.reduce(vec)
         if not red:
             return False
-        p = self.char
         pos = min(red)
-        if p:
-            inv = pow(red[pos], p - 2, p)
-            red = {q: v * inv % p for q, v in red.items()}
-        else:
-            inv = 1 / Fraction(red[pos])
-            red = {q: v * inv for q, v in red.items()}
+        inv = pow(red[pos], p - 2, p)
+        red = {q: v * inv % p for q, v in red.items()}
         combo = None
         if self.track:
             # red == vec - sum(used * pivot rows): express it over the generators
             combo = {} if label is None else {label: 1}
             for plabel, c in used.items():
-                nv = combo.get(plabel, 0) - c
-                if p:
-                    nv %= p
+                nv = (combo.get(plabel, 0) - c) % p
                 if nv:
                     combo[plabel] = nv
                 else:
                     combo.pop(plabel, None)
-            if p:
-                combo = {l: v * inv % p for l, v in combo.items()}
-            else:
-                combo = {l: v * inv for l, v in combo.items()}
-        self.pivots[pos] = (red, combo)
+            combo = {l: v * inv % p for l, v in combo.items()}
+        self.pivots[pos] = (red, combo, 1)
+        return True
+
+    def _add_rational(self, vec: dict, label) -> bool:
+        red, den, used, uden = self._reduce_rational(vec)
+        if not red:
+            return False
+        pos = min(red)
+        lead = red[pos]
+        g = gcd(*red.values())
+        if lead < 0:
+            g = -g
+        row = {q: v // g for q, v in red.items()}
+        combo = None
+        cden = 1
+        if self.track:
+            # red / den == vec - used / uden, and row / row[pos] is
+            # red / lead, so (uden * vec - used) * den / (uden * lead)
+            combo = {} if label is None else {label: uden}
+            for plabel, u in used.items():
+                nv = combo.get(plabel, 0) - u
+                if nv:
+                    combo[plabel] = nv
+                else:
+                    combo.pop(plabel, None)
+            scale = den if lead > 0 else -den
+            combo = {l: v * scale for l, v in combo.items()}
+            cden = uden * abs(lead)
+            g = gcd(cden, *combo.values())
+            if g != 1:
+                combo = {l: v // g for l, v in combo.items()}
+                cden //= g
+        self.pivots[pos] = (row, combo, cden)
         return True
 
     @property
@@ -187,11 +281,15 @@ def _sparse(row) -> dict:
     return {j: c for j, c in enumerate(row) if c}
 
 
-def _solve_unique(rows: list, rhs: list) -> Optional[list]:
-    """The solution of rows . x = rhs over Q when it exists and is unique, else None.
+def _solve_unique(rows: list, rhs: list) -> Optional[tuple]:
+    """(num, den) with rows . (num / den) = rhs over Q when the solution exists
+    and is unique, else None.
 
-    It does when the pivots of the rows augmented by rhs (column n) are the
-    columns 0..n-1; back-substitution on the monic pivot rows then gives it.
+    num is an integer list and den a positive integer, with gcd(den, *num)
+    equal to 1.  The solution exists and is unique when the pivots of the
+    rows augmented by rhs (column n) are the columns 0..n-1.
+    Back-substitution on the integer pivot rows keeps one common
+    denominator: solving row col for x_col multiplies it by the pivot.
     """
     n = len(rows[0])
     ech = _Echelon(_QQ, track=False)
@@ -199,12 +297,17 @@ def _solve_unique(rows: list, rhs: list) -> Optional[list]:
         ech.add_row(_sparse(list(row) + [b]))
     if sorted(ech.pivots) != list(range(n)):
         return None
-    sol = [Fraction(0)] * n
+    num = [0] * n
+    den = 1
     for col in reversed(range(n)):
-        row, _ = ech.pivots[col]
-        sol[col] = row.get(n, Fraction(0)) - sum(
-            c * sol[j] for j, c in row.items() if col < j < n)
-    return sol
+        row = ech.pivots[col][0]
+        lead = row[col]
+        rest = row.get(n, 0) * den - sum(c * num[j] for j, c in row.items() if col < j < n)
+        num = [x * lead for x in num]
+        num[col] = rest
+        den *= lead
+    g = gcd(den, *num)
+    return [x // g for x in num], den // g
 
 
 def _independent(vectors: list) -> list:
@@ -213,20 +316,17 @@ def _independent(vectors: list) -> list:
     return [v for v in vectors if ech.add_row(_sparse(v))]
 
 
-def _affine_rank(points: list) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    return len(_independent([[a - b for a, b in zip(p, base)] for p in points[1:]]))
+def _integral(v: Sequence) -> tuple:
+    """(d * v, d) for the least positive integer d that makes d * v integral."""
+    d = lcm(*[c.denominator for c in v])
+    return tuple([c.numerator * (d // c.denominator) for c in v]), d
 
 
 def _primitive(v: Sequence) -> tuple:
     """The integer vector with coprime entries on the ray of a rational vector."""
-    fracs = [Fraction(c) for c in v]
-    denom = lcm(*(c.denominator for c in fracs))
-    ints = [int(c * denom) for c in fracs]
+    ints, _ = _integral(v)
     g = gcd(*ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
+    return tuple(x // g for x in ints) if g else ints
 
 
 @dataclass(frozen=True)
@@ -263,8 +363,10 @@ class CPolytope:
         return min(_dot(w, alpha) for w in self.weights)
 
     def attaining(self, alpha: Sequence) -> tuple:
-        v = self.value(alpha)
-        return tuple(j for j, w in enumerate(self.weights) if _dot(w, alpha) == v)
+        """The facets whose form attains the valuation of alpha."""
+        dots = [_dot(w, alpha) for w in self.weights]
+        v = min(dots)
+        return tuple(j for j, d in enumerate(dots) if d == v)
 
     def min_variable_value(self) -> int:
         """min_i v(x_i): the least valuation of a single variable."""
@@ -273,34 +375,48 @@ class CPolytope:
 
 
 def _region_vertices(lambdas: list, n: int) -> list:
-    """Vertices of {r >= 0 : lambda_j . r >= 1 for all j}.
+    """Vertices of {r >= 0 : lambda_j . r >= 1 for all j}, as `Fraction` tuples.
 
     The one polyhedral enumeration of the package: a vertex is the unique
     solution of n tight constraints, chosen among the lambda_j and the axes.
+    The axes of a choice fix their coordinates to 0, so only the k free
+    coordinates are solved, from the k chosen forms; the system is unique
+    exactly when this k x k one is.  The choice of n axes gives the origin,
+    which no constraint lambda . r >= 1 admits.
+
+    The forms are scaled by the least common denominator dl of all their
+    entries into integer forms F_j = dl * lambda_j, and a solution comes as
+    integers num over a positive den.  Since dl and den are positive,
+    lambda_j . (num / den) >= 1 holds exactly when F_j . num >= dl * den,
+    and num / den >= 0 exactly when num >= 0; so feasibility is tested in
+    integers, and `Fraction`s are built only for the vertices returned.
     """
+    dl = lcm(*[c.denominator for lam in lambdas for c in lam])
+    forms = [[c.numerator * (dl // c.denominator) for c in lam] for lam in lambdas]
     constraints = [("w", j) for j in range(len(lambdas))] + [("a", i) for i in range(n)]
     seen = set()
     verts = []
     for combo in combinations(constraints, n):
-        rows, rhs = [], []
-        for kind, idx in combo:
-            if kind == "w":
-                rows.append(list(lambdas[idx]))
-                rhs.append(1)
-            else:
-                rows.append([1 if i == idx else 0 for i in range(n)])
-                rhs.append(0)
-        sol = _solve_unique(rows, rhs)
+        tight = [forms[j] for kind, j in combo if kind == "w"]
+        if not tight:
+            continue
+        fixed = {i for kind, i in combo if kind == "a"}
+        free = [i for i in range(n) if i not in fixed]
+        sol = _solve_unique([[form[i] for i in free] for form in tight], [dl] * len(tight))
         if sol is None:
             continue
-        if any(c < 0 for c in sol):
+        num, den = sol
+        if any(x < 0 for x in num):
             continue
-        if any(_dot(lam, sol) < 1 for lam in lambdas):
+        if any(sum(form[i] * x for i, x in zip(free, num)) < dl * den for form in forms):
             continue
-        key = tuple(sol)
+        full = [0] * n
+        for i, x in zip(free, num):
+            full[i] = x
+        key = (tuple(full), den)
         if key not in seen:
             seen.add(key)
-            verts.append(key)
+            verts.append(tuple(Fraction(x, den) for x in full))
     return verts
 
 
@@ -308,14 +424,26 @@ def _build_polytope(lambdas: list, vertices: list, n: int, virtual_points=()) ->
     """Assemble a CPolytope from distinct strictly positive normalized forms
     and the vertices of their region {r >= 0 : lambda . r >= 1}.
 
-    Each constraint's tight vertex set is computed once.  The forms whose
-    set has affine rank n-1 support facets and are kept (irredundancy); the
-    faces are the nonempty intersections of a facet's set with any of the
-    others, axes included, and their tight forms and axes are read off the
-    same sets.
+    Each constraint's tight vertex set is computed once, in integers: each
+    form is split once into lambda = w / c and each vertex into num / den,
+    and lambda is tight at the vertex when w . num == c * den.  The forms
+    whose set has affine rank n-1 support facets and are kept
+    (irredundancy); the faces are the nonempty intersections of a facet's
+    set with any of the others, axes included, and their tight forms and
+    axes are read off the same sets.  The affine rank of a vertex set is
+    one less than the rank of the integer vectors (num, den), which is the
+    rank of the points lifted to (v, 1).
     """
-    tight = {lam: frozenset(v for v in vertices if _dot(lam, v) == 1) for lam in lambdas}
-    essential = sorted(lam for lam in lambdas if _affine_rank(list(tight[lam])) == n - 1)
+    split = {v: _integral(v) for v in vertices}
+
+    def affine_rank(vs) -> int:
+        return len(_independent([split[v][0] + (split[v][1],) for v in vs])) - 1
+
+    tight = {}
+    for lam in lambdas:
+        w, c = _integral(lam)
+        tight[lam] = frozenset(v for v, (num, den) in split.items() if _dot(w, num) == c * den)
+    essential = sorted(lam for lam in lambdas if affine_rank(tight[lam]) == n - 1)
     facets = [tight[lam] for lam in essential]
     axes = [frozenset(v for v in vertices if not v[i]) for i in range(n)]
     found = set(facets)
@@ -326,7 +454,7 @@ def _build_polytope(lambdas: list, vertices: list, n: int, virtual_points=()) ->
     faces = tuple(
         Face(
             vertices=pts,
-            dimension=_affine_rank(list(pts)),
+            dimension=affine_rank(pts),
             weight_indices=frozenset(j for j, fs in enumerate(facets) if vs <= fs),
             inner=not any(vs <= fs for fs in axes),
         )
@@ -443,9 +571,12 @@ def newton_diagram(f: Poly) -> NewtonData:
 
 def _diagram_vertices(minimal: list, dual: list, n: int) -> list:
     """The minimal points whose tight dual vertices and axes have rank n:
-    the vertices of the diagram (newton_diagram, step 5)."""
+    the vertices of the diagram (newton_diagram, step 5).  A dual vertex
+    num / den is tight at p when num . p == den, and spans the same line
+    as num."""
+    split = [_integral(v) for v in dual]
     return [p for p in minimal
-            if len(_independent([v for v in dual if _dot(v, p) == 1]
+            if len(_independent([num for num, den in split if _dot(num, p) == den]
                                 + [[int(j == i) for j in range(n)] for i in range(n)
                                    if not p[i]])) == n]
 

@@ -392,3 +392,39 @@ def test_wave_contact_scan_computes_logarithmically_many_pieces(monkeypatch):
     assert rc.scan_bound == 96 and rc.witness().direction == (3, 2)
     assert len(per_ray) == len(rc.rays)
     assert max(per_ray) <= 2 * math.ceil(math.log2(96)) + 2
+
+
+def set_rule_cone_killed(alg, m) -> bool:
+    """The cone test as a set intersection: some kill alpha <= m whose
+    attaining facets meet those of m - alpha."""
+    for alpha, facets in alg.kills:
+        beta = tuple(x - a for x, a in zip(m, alpha))
+        if all(b >= 0 for b in beta) and set(alg.P.attaining(beta)) & facets:
+            return True
+    return False
+
+
+@st.composite
+def cone_cases(draw):
+    """A weight polytope in 2 or 3 variables, kills and monomials."""
+    n = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.tuples(*[st.integers(1, 6)] * n), min_size=1, max_size=4))
+    mono = st.tuples(*[st.integers(0, 6)] * n)
+    return weights, draw(st.lists(mono, min_size=1, max_size=4)), draw(st.lists(mono, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_cases())
+def test_cone_killed_matches_set_rule(case):
+    """One dot product per facet and the kill's own facets give the verdict
+    of the set rule on every monomial."""
+    weights, kills, monos = case
+    Pw = cpolytope_from_weights(weights)
+    n = Pw.nvars
+    ring = Ring(7, ("x", "y", "z")[:n])
+    alg = GradedAlgebra(Pw, ring.poly([(tuple(2 * (j == i) for j in range(n)), 1)
+                                       for i in range(n)]), "right")
+    for alpha in kills:
+        alg.record_kill(alpha)
+    for m in monos + [tuple(a + b for a, b in zip(alpha, m)) for alpha in kills for m in monos]:
+        assert alg.cone_killed(m) == set_rule_cone_killed(alg, m)

@@ -11,6 +11,7 @@ from possing.newton import (
     _Echelon,
     _independent,
     _lattice_sweep,
+    _region_vertices,
     _solve_unique,
     PolytopeError,
     cpolytope_from_poly,
@@ -195,7 +196,8 @@ def oracle_vertices(support, n):
     By Carathéodory, p is such a combination exactly when at most n+1 of
     the other minimal points and unit rays write p, lifted to (p, 1), with
     nonnegative coefficients; a linearly independent choice exists, whose
-    coefficients are then unique.
+    coefficients are then unique.  They come from Cramer's rule
+    (`unique_solution`).
     """
     minimal = minimal_points(support)
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -205,7 +207,7 @@ def oracle_vertices(support, n):
         for size in range(1, n + 2):
             for combo in combinations(gens, size):
                 rows = [[g[i] for g, _ in combo] for i in range(n)] + [[t for _, t in combo]]
-                sol = _solve_unique(rows, list(p) + [1])
+                sol = unique_solution(rows, list(p) + [1])
                 if sol is not None and all(c >= 0 for c in sol):
                     return True
         return False
@@ -534,12 +536,13 @@ def test_faces_match_oracle(source):
     assert faces == oracle_faces(Pw)
 
 
-def det(mat) -> Fraction:
-    """Determinant by Laplace expansion along the first row."""
+def det(mat):
+    """Determinant by Laplace expansion along the first row, in the entries'
+    own arithmetic (ints stay ints)."""
     if not mat:
-        return Fraction(1)
+        return 1
     return sum(
-        (-1) ** j * Fraction(mat[0][j]) * det([row[:j] + row[j + 1:] for row in mat[1:]])
+        (-1) ** j * mat[0][j] * det([row[:j] + row[j + 1:] for row in mat[1:]])
         for j in range(len(mat))
     )
 
@@ -561,16 +564,28 @@ def minor_rank(rows, char: int = 0) -> int:
 
 def cramer(rows, rhs) -> list:
     """The solution of a system of rank n = len(rows[0]) by Cramer's rule on
-    n rows with a nonzero determinant."""
+    n rows with a nonzero determinant; None when no such n rows exist."""
     n = len(rows[0])
-    ri = next(ri for ri in combinations(range(len(rows)), n)
-              if det([rows[r] for r in ri]))
+    ri = next((ri for ri in combinations(range(len(rows)), n)
+               if det([rows[r] for r in ri])), None)
+    if ri is None:
+        return None
     square = [list(rows[r]) for r in ri]
     d = det(square)
     return [
-        det([row[:j] + [rhs[r]] + row[j + 1:] for r, row in zip(ri, square)]) / d
+        Fraction(det([row[:j] + [rhs[r]] + row[j + 1:] for r, row in zip(ri, square)]), d)
         for j in range(n)
     ]
+
+
+def unique_solution(rows, rhs):
+    """The solution of rows . x = rhs when it exists and is unique, else None:
+    Cramer's rule, checked on every row."""
+    sol = cramer(rows, rhs)
+    if sol is None or any(sum(c * x for c, x in zip(row, sol)) != b
+                          for row, b in zip(rows, rhs)):
+        return None
+    return sol
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -592,8 +607,55 @@ def test_dense_kernel(rows, data):
     sol = _solve_unique(rows, rhs)
     assert (sol is not None) == unique
     if sol is not None:
-        assert sol == cramer(rows, rhs)
-        assert all(isinstance(x, Fraction) for x in sol)
+        num, den = sol
+        assert [Fraction(x, den) for x in num] == cramer(rows, rhs)
+        assert all(isinstance(x, int) for x in num)
+        assert den > 0 and gcd(den, *num) == 1
+
+
+def brute_region_vertices(lambdas, n) -> set:
+    """Vertices of {r >= 0 : lambda . r >= 1}: Cramer's rule on every n of
+    the constraints, forms and axes, with feasibility tested in Fractions."""
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    constraints = [(lam, 1) for lam in lambdas] + [(axis, 0) for axis in axes]
+    verts = set()
+    for combo in combinations(constraints, n):
+        sol = unique_solution([list(row) for row, _ in combo], [b for _, b in combo])
+        if (sol is not None and all(c >= 0 for c in sol)
+                and all(sum(a * c for a, c in zip(lam, sol)) >= 1 for lam in lambdas)):
+            verts.add(tuple(sol))
+    return verts
+
+
+@st.composite
+def region_forms(draw):
+    """1-3 variables and nonnegative integer or strictly positive Fraction
+    forms, with a repeated and a parallel form drawn often."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        entry = st.integers(0, 5)
+    else:
+        entry = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    forms = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        forms.append(draw(st.sampled_from(forms)))
+    if draw(st.booleans()):
+        form = draw(st.sampled_from(forms))
+        forms.append(tuple(c * draw(st.sampled_from([2, 3, Fraction(1, 2)])) for c in form))
+    return n, forms
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_forms())
+def test_region_vertices_match_brute_force(case):
+    """The free-coordinate enumeration with integer feasibility finds the
+    vertices that Cramer's rule on every constraint choice finds, each once,
+    as Fraction tuples."""
+    n, forms = case
+    verts = _region_vertices(forms, n)
+    assert len(verts) == len(set(verts))
+    assert set(verts) == brute_region_vertices(forms, n)
+    assert all(isinstance(c, Fraction) for v in verts for c in v)
 
 
 @st.composite
@@ -633,11 +695,19 @@ def check_echelon(char: int, ncols: int, rows: list, vec: dict):
     taken = [(a - b) % char if char else a - b
              for a, b in zip(dense(vec, ncols, char), dense(residual, ncols, char))]
     assert taken == combination(used, rows, ncols, char)
-    for pos, (row, combo) in ech.pivots.items():
-        assert row[pos] == 1 and min(row) == pos
-        assert all(v and (0 < v < char if char else isinstance(v, Fraction))
-                   for v in row.values())
-        assert dense(row, ncols, char) == combination(combo, rows, ncols, char)
+    if not char:
+        assert all(isinstance(v, Fraction) for v in [*residual.values(), *used.values()])
+    for pos, (row, combo, den) in ech.pivots.items():
+        assert min(row) == pos
+        if char:
+            assert row[pos] == 1 and den == 1
+            assert all(0 < v < char for v in row.values())
+            assert dense(row, ncols, char) == combination(combo, rows, ncols, char)
+        else:
+            assert all(v and isinstance(v, int) for v in row.values())
+            assert row[pos] > 0 and gcd(*row.values()) == 1 and den > 0
+            assert ([Fraction(v, row[pos]) for v in dense(row, ncols, char)]
+                    == [x / den for x in combination(combo, rows, ncols, char)])
     assert ech.rank == minor_rank([[row.get(j, 0) for j in range(ncols)] for row in rows],
                                   char)
 
@@ -646,8 +716,10 @@ def check_echelon(char: int, ncols: int, rows: list, vec: dict):
 @given(echelon_cases())
 def test_echelon_properties(case):
     """Reduction leaves no pivot position and names the combination it took
-    off over the original rows; pivot rows are monic and start at their
-    pivot; the rank is the minor rank (mod p over F_p)."""
+    off over the original rows, in `Fraction`s over Q; pivot rows start at
+    their pivot and are monic over F_p, primitive integer vectors with a
+    positive pivot over Q, and the monic row is the tracked combination
+    over its denominator; the rank is the minor rank (mod p over F_p)."""
     check_echelon(*case)
 
 
