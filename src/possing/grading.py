@@ -150,8 +150,8 @@ class GradedAlgebra:
         That facet then gives v(m) = v(alpha) + v(beta), so x^m is x^beta
         times the vanishing x^alpha in the graded algebra, and vanishes
         (cone propagation).  The facet dot products of beta are computed
-        once, and only the kill's own facets are compared with their
-        minimum; no set is built.
+        once, and only the kill's own facets are tested against their
+        minimum.
         """
         weights = self.P.weights
         for alpha, facets in self.kills:

@@ -537,10 +537,18 @@ def test_faces_match_oracle(source):
 
 
 def det(mat):
-    """Determinant by Laplace expansion along the first row, in the entries'
-    own arithmetic (ints stay ints)."""
+    """Determinant by Laplace expansion along the first row down to 3 x 3,
+    in the entries' own arithmetic (ints stay ints)."""
     if not mat:
         return 1
+    if len(mat) == 1:
+        return mat[0][0]
+    if len(mat) == 2:
+        (a, b), (c, d) = mat
+        return a * d - b * c
+    if len(mat) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = mat
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return sum(
         (-1) ** j * mat[0][j] * det([row[:j] + row[j + 1:] for row in mat[1:]])
         for j in range(len(mat))
@@ -582,8 +590,8 @@ def unique_solution(rows, rhs):
     """The solution of rows . x = rhs when it exists and is unique, else None:
     Cramer's rule, checked on every row."""
     sol = cramer(rows, rhs)
-    if sol is None or any(sum(c * x for c, x in zip(row, sol)) != b
-                          for row, b in zip(rows, rhs)):
+    if sol is None or len(rows) > len(sol) and any(
+            sum(c * x for c, x in zip(row, sol)) != b for row, b in zip(rows, rhs)):
         return None
     return sol
 
@@ -598,7 +606,8 @@ small_matrices = st.integers(1, 4).flatmap(
 @given(small_matrices, st.data())
 def test_dense_kernel(rows, data):
     """Rank and unique solutions of the exact row reduction, against minors
-    and Cramer's rule."""
+    and Cramer's rule; a solution comes as integer numerators over a
+    positive denominator, in lowest terms."""
     n = len(rows[0])
     rhs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
     assert len(_independent(rows)) == minor_rank(rows)
